@@ -35,10 +35,12 @@ racecheck:
 	  echo "racecheck: seeded race was NOT flagged (expected exit 1)"; exit 1; \
 	else echo "racecheck: seeded race correctly rejected"; fi
 
-# Runtime contract checks (RX301-RX307): the analyze workloads plus the
-# fuzz suite with every operator call cross-checked — columnar kernels
-# bit-for-bit against the row-major reference, sorted flags audited,
-# session confinement (no global reads on a session's path) armed.
+# Runtime contract checks (RX301-RX307, RX310): the analyze workloads
+# plus the fuzz suite with every operator call cross-checked — columnar
+# kernels bit-for-bit against the row-major reference, sorted flags
+# audited, cache hits replayed against a fresh execution (RX304),
+# session confinement (no global reads on a session's path) and
+# partitioned edges against the sequential kernel armed.
 sanitize:
 	ROX_SANITIZE=1 dune exec bin/rox_cli.exe -- analyze
 	ROX_SANITIZE=1 dune exec test/test_main.exe -- test fuzz

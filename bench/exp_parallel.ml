@@ -61,73 +61,6 @@ let answers_equal lists =
   | [] -> true
   | first :: rest -> List.for_all (fun l -> l = first) rest
 
-(* ---- cache-hit-throughput leg -------------------------------------- *)
-
-(* One domain's share of the hammer: re-run the (already warmed, hence
-   all-hits) query list [iters] times against the shared store, timing
-   itself so the leg can report per-domain qps spread. *)
-let hammer_work ~cache compiled_list iters () =
-  let t0 = Unix.gettimeofday () in
-  let answers = ref [] in
-  for _ = 1 to iters do
-    answers := List.map (fun c -> run_one ~cache c) compiled_list
-  done;
-  let dt = Unix.gettimeofday () -. t0 in
-  (!answers, dt)
-
-type hammer_result = {
-  hr_qps : float;
-  hr_per_domain_qps : float list;
-  hr_spread_pct : float;     (* (max-min)/max across domains, percent *)
-  hr_lock_waits : int;
-  hr_fast_hits : int;
-  hr_hits : int;
-  hr_identical : bool;
-}
-
-(* Warm one store, then hammer the same hot fingerprints from [domains]
-   domains. [shards]/[fast_path] select the configuration: (1, false) is
-   the single-mutex baseline, (8, true) the sharded store under test. *)
-let hammer_config ~domains ~iters ~shards ~fast_path engine compiled_list
-    reference =
-  let store = Rox_cache.Store.of_megabytes ~shards ~fast_path engine 32 in
-  (* Warm pass: after this every edge/estimate fingerprint is resident,
-     so the measured phase is (almost) pure cache-hit traffic. *)
-  ignore (List.map (fun c -> run_one ~cache:store c) compiled_list);
-  let spawned =
-    List.init (domains - 1) (fun _ ->
-        Domain.spawn (hammer_work ~cache:store compiled_list iters))
-  in
-  let mine = hammer_work ~cache:store compiled_list iters () in
-  let per = mine :: List.map Domain.join spawned in
-  let answers = List.map fst per in
-  let runs_each = iters * List.length compiled_list in
-  let per_qps =
-    List.map
-      (fun (_, dt) -> if dt > 0.0 then float_of_int runs_each /. dt else 0.0)
-      per
-  in
-  let total_dt = List.fold_left (fun a (_, dt) -> Float.max a dt) 0.0 per in
-  let qps =
-    if total_dt > 0.0 then float_of_int (domains * runs_each) /. total_dt
-    else 0.0
-  in
-  let mx = List.fold_left Float.max 0.0 per_qps in
-  let mn = List.fold_left Float.min infinity per_qps in
-  let spread = if mx > 0.0 then 100.0 *. (mx -. mn) /. mx else 0.0 in
-  let s = Rox_cache.Store.stats store in
-  let open Rox_cache in
-  {
-    hr_qps = qps;
-    hr_per_domain_qps = per_qps;
-    hr_spread_pct = spread;
-    hr_lock_waits = s.Store.relations.Lru.lock_waits + s.Store.estimates.Lru.lock_waits;
-    hr_fast_hits = s.Store.relations.Lru.fast_hits + s.Store.estimates.Lru.fast_hits;
-    hr_hits = s.Store.relations.Lru.hits + s.Store.estimates.Lru.hits;
-    hr_identical =
-      answers_equal answers && List.for_all (fun l -> l = reference) answers;
-  }
-
 let json_escape_float f = Printf.sprintf "%.2f" f
 
 (* ---- intra-query leg ------------------------------------------------ *)
@@ -208,30 +141,6 @@ let run ?(factor = 0.25) ?(iters = 3) () =
   Printf.printf "telemetry aggregate, %d domains: %d/%d queries served%s\n%!"
     telemetry_domains served expected_served
     (if telemetry_ok then "" else "  INCONSISTENT");
-  (* Cache-hit throughput: the same hot fingerprints hammered from N
-     domains against (a) a single-mutex, fast-path-off baseline store and
-     (b) the sharded store with the lock-free read image. The contention
-     counters make the refactor's effect visible even when a 1-core
-     container flattens the qps difference. *)
-  let hammer_domains = 2 in
-  let single =
-    hammer_config ~domains:hammer_domains ~iters ~shards:1 ~fast_path:false
-      engine compiled_list reference
-  in
-  let sharded =
-    hammer_config ~domains:hammer_domains ~iters
-      ~shards:8 ~fast_path:true engine compiled_list reference
-  in
-  let lock_waits_dropped = sharded.hr_lock_waits <= single.hr_lock_waits in
-  let hammer_ok = single.hr_identical && sharded.hr_identical in
-  Printf.printf
-    "cache-hit hammer, %d domains: single-lock %6.2f q/s (%d waits), 8-shard %6.2f q/s (%d waits, %d fast hits)%s\n%!"
-    hammer_domains single.hr_qps single.hr_lock_waits sharded.hr_qps
-    sharded.hr_lock_waits sharded.hr_fast_hits
-    (if hammer_ok then "" else "  ANSWERS DIVERGED");
-  Printf.printf "  qps spread across domains: single %.1f%%, sharded %.1f%%; shard lock waits %s\n%!"
-    single.hr_spread_pct sharded.hr_spread_pct
-    (if lock_waits_dropped then "dropped" else "DID NOT DROP");
   (* Intra-query partitioning: the SAME single query at 1, 2 and 4
      partitions on a session pool. *)
   let intra_compiled = List.hd compiled_list in
@@ -267,16 +176,8 @@ let run ?(factor = 0.25) ?(iters = 3) () =
            n_cores
        else " on a >= 4-core machine: investigate");
   let all_identical =
-    cache_ok && telemetry_ok && hammer_ok && intra_ok
+    cache_ok && telemetry_ok && intra_ok
     && List.for_all (fun (_, _, ok) -> ok) runs
-  in
-  let hammer_json label hr =
-    Printf.sprintf
-      "    \"%s\": {\"qps\": %s, \"per_domain_qps\": [%s], \"qps_spread_pct\": %s, \"lock_waits\": %d, \"fast_hits\": %d, \"hits\": %d, \"identical\": %b}"
-      label (json_escape_float hr.hr_qps)
-      (String.concat ", " (List.map json_escape_float hr.hr_per_domain_qps))
-      (json_escape_float hr.hr_spread_pct)
-      hr.hr_lock_waits hr.hr_fast_hits hr.hr_hits hr.hr_identical
   in
   let buf = Buffer.create 512 in
   Buffer.add_string buf "{\n";
@@ -304,18 +205,6 @@ let run ?(factor = 0.25) ?(iters = 3) () =
     (Printf.sprintf "  \"telemetry_consistent\": %b,\n" telemetry_ok);
   Buffer.add_string buf
     (Printf.sprintf "  \"aggregate_merges\": %d,\n" merges);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"cache_hit_leg\": {\n    \"domains\": %d,\n"
-       hammer_domains);
-  Buffer.add_string buf (hammer_json "single_lock" single);
-  Buffer.add_string buf ",\n";
-  Buffer.add_string buf (hammer_json "sharded" sharded);
-  Buffer.add_string buf ",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "    \"cache_shard_lock_waits\": %d,\n"
-       sharded.hr_lock_waits);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"lock_waits_dropped\": %b\n  },\n" lock_waits_dropped);
   Buffer.add_string buf "  \"intra_query\": {\n    \"runs\": [\n";
   List.iteri
     (fun i (parts, dt, ok) ->

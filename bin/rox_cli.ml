@@ -18,18 +18,6 @@ let optimizer_conv =
     [ ("rox", Opt_rox); ("greedy", Opt_greedy); ("static", Opt_static);
       ("midquery", Opt_midquery) ]
 
-(* Shard counts must be powers of two (Lru.create enforces it); reject
-   bad values at the command line instead of surfacing the exception. *)
-let shards_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 && n land (n - 1) = 0 -> Ok n
-    | Some n ->
-      Error (`Msg (Printf.sprintf "shard count %d is not a power of two" n))
-    | None -> Error (`Msg (Printf.sprintf "invalid shard count %S" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
 let read_query = function
   | "-" ->
     let buf = Buffer.create 1024 in
@@ -96,8 +84,8 @@ let write_file path content =
   close_out oc
 
 let run docs query_file show_graph show_trace optimizer tau seed parallel_parts
-    deadline_ms max_sampled_rows count_only limit cache_mb cache_shards
-    cache_cost_aware cache_stats profile trace_out metrics_out slow_log slow_ms =
+    deadline_ms max_sampled_rows count_only limit cache_mb cache_stats profile
+    trace_out metrics_out slow_log slow_ms =
   (* The slow log needs span timings, so --slow-log arms the sink too. *)
   let telemetry_on =
     profile || trace_out <> None || metrics_out <> None || slow_log <> None
@@ -131,12 +119,7 @@ let run docs query_file show_graph show_trace optimizer tau seed parallel_parts
   in
   if show_graph then prerr_string (Rox_joingraph.Pretty.to_string compiled.Rox_xquery.Compile.graph);
   let cache =
-    if cache_mb > 0 then
-      Some
-        (Rox_cache.Store.of_megabytes ~shards:cache_shards
-           ~policy:(if cache_cost_aware then Rox_cache.Lru.Cost_aware
-                    else Rox_cache.Lru.Lru_only)
-           engine cache_mb)
+    if cache_mb > 0 then Some (Rox_cache.Store.of_megabytes engine cache_mb)
     else None
   in
   if (cache_mb > 0 || cache_stats)
@@ -839,8 +822,8 @@ let serve_smoke scale slow_log slow_ms =
   Printf.printf "serve-smoke: %s\n" (if !failures = 0 then "PASS" else "FAIL");
   if !failures = 0 then 0 else 1
 
-let serve_run docs socket port workers queue_cap max_conns cache_mb cache_shards
-    cache_cost_aware parallel_parts smoke scale slow_log slow_ms =
+let serve_run docs socket port workers queue_cap max_conns cache_mb
+    parallel_parts smoke scale slow_log slow_ms =
   if smoke then serve_smoke scale slow_log slow_ms
   else begin
     let engine = Rox_storage.Engine.create () in
@@ -862,12 +845,7 @@ let serve_run docs socket port workers queue_cap max_conns cache_mb cache_shards
     if docs = [] then
       Printf.eprintf "warning: no --doc given; every doc() reference will fail\n";
     let cache =
-      if cache_mb > 0 then
-        Some
-          (Rox_cache.Store.of_megabytes ~shards:cache_shards
-             ~policy:(if cache_cost_aware then Rox_cache.Lru.Cost_aware
-                      else Rox_cache.Lru.Lru_only)
-             engine cache_mb)
+      if cache_mb > 0 then Some (Rox_cache.Store.of_megabytes engine cache_mb)
       else None
     in
     let server =
@@ -1093,6 +1071,13 @@ let slow_ms_arg =
          ~doc:"Slow-query threshold for $(b,--slow-log) in milliseconds \
                (default 100; 0 logs every request).")
 
+let cache_mb_arg =
+  Arg.(value & opt int 0 & info [ "cache-mb" ] ~docv:"MB"
+         ~doc:"Budget (MiB) for the cross-query cache of materialized edge \
+               executions and sample estimates (0 = off; default 0). A \
+               one-shot run uses it with the rox and greedy optimizers only; \
+               $(b,serve) shares one cache across all its workers.")
+
 let parallel_parts_arg =
   Arg.(value & opt int 1 & info [ "parallel-parts" ] ~docv:"K"
          ~doc:"Intra-query partition count: execute each physical join as K \
@@ -1124,22 +1109,6 @@ let serve_cmd =
            ~doc:"Concurrent-connection cap; an over-limit connection is \
                  answered one ERR busy frame and closed (default 256).")
   in
-  let cache_mb =
-    Arg.(value & opt int 0 & info [ "cache-mb" ] ~docv:"MB"
-           ~doc:"Cross-query cache budget shared by all workers (0 = off).")
-  in
-  let cache_shards =
-    Arg.(value & opt shards_conv Rox_cache.Store.default_shards
-         & info [ "cache-shards" ] ~docv:"N"
-             ~doc:"Power-of-two shard count for each cache (per-shard \
-                   mutexes plus a lock-free read fast path; default 4).")
-  in
-  let cache_cost_aware =
-    Arg.(value & flag
-         & info [ "cache-cost-aware" ]
-             ~doc:"Evict by cost-per-byte within the cold window instead \
-                   of pure LRU: keep what is expensive to recompute.")
-  in
   let smoke =
     Arg.(value & flag & info [ "smoke" ]
            ~doc:"Self-test: serve an in-process XMark engine to a scripted \
@@ -1161,8 +1130,8 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(const serve_run $ docs_arg $ socket $ port $ workers $ queue_cap
-          $ max_conns $ cache_mb $ cache_shards $ cache_cost_aware
-          $ parallel_parts_arg $ smoke $ scale $ slow_log_arg $ slow_ms_arg)
+          $ max_conns $ cache_mb_arg $ parallel_parts_arg $ smoke $ scale
+          $ slow_log_arg $ slow_ms_arg)
 
 let stat_cmd =
   let socket =
@@ -1345,26 +1314,6 @@ let cmd =
     Arg.(value & opt int 20 & info [ "limit" ] ~docv:"K"
            ~doc:"Serialize at most K answer nodes (0 = all; default 20).")
   in
-  let cache_mb =
-    Arg.(value & opt int 0 & info [ "cache-mb" ] ~docv:"MB"
-           ~doc:"Budget (MiB) for the cross-query cache of materialized edge \
-                 executions and sample estimates (0 = off; default 0). Only \
-                 affects the rox and greedy optimizers.")
-  in
-  let cache_shards =
-    Arg.(value & opt shards_conv Rox_cache.Store.default_shards
-         & info [ "cache-shards" ] ~docv:"N"
-             ~doc:"Power-of-two shard count for each cache: keys spread \
-                   across N independently locked shards with a lock-free \
-                   read fast path (default 4; 1 = classic single lock).")
-  in
-  let cache_cost_aware =
-    Arg.(value & flag
-         & info [ "cache-cost-aware" ]
-             ~doc:"Evict by cost-per-byte within the cold window instead \
-                   of pure LRU: keep entries that are expensive to \
-                   recompute rather than merely recently used.")
-  in
   let cache_stats =
     Arg.(value & flag & info [ "cache-stats" ]
            ~doc:"Print cache hit/miss/eviction counters to stderr after the run \
@@ -1379,14 +1328,12 @@ let cmd =
   let doc = "ROX: run-time optimization of XQueries" in
   let run_term =
     Term.(
-      const (fun docs qf g t o tau seed pp dl msr c l cmb csh cca cst p tro mo
-                 sl sm ->
-          run docs qf g t o tau seed pp dl msr c l cmb csh cca cst p tro mo
-            sl sm;
+      const (fun docs qf g t o tau seed pp dl msr c l cmb cst p tro mo sl sm ->
+          run docs qf g t o tau seed pp dl msr c l cmb cst p tro mo sl sm;
           0)
       $ docs $ query_file $ show_graph $ show_trace $ optimizer $ tau $ seed
       $ parallel_parts_arg $ deadline_ms $ max_sampled_rows $ count_only
-      $ limit $ cache_mb $ cache_shards $ cache_cost_aware $ cache_stats
+      $ limit $ cache_mb_arg $ cache_stats
       $ profile $ trace_out_arg $ metrics_out_arg $ slow_log_arg $ slow_ms_arg)
   in
   let group =

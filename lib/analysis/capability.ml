@@ -55,12 +55,10 @@ let allowlist =
     (* -- cache ----------------------------------------------------- *)
     f "lib/cache/lru.ml" "node.*"
       "mutex: recency links and entry payloads only change inside the \
-       owning shard's lock critical section";
-    f "lib/cache/lru.ml" "shard.*"
-      "mutex: every locked operation runs under the shard's own lock \
-       (Mutex.protect in locked / try_locked); the lock-free fast path \
-       reads only the Atomic-published immutable image, never these \
-       fields; the armed access log records each locked entry as a Write";
+       cache's lock critical section";
+    f "lib/cache/lru.ml" "t.*"
+      "mutex: every operation runs under the cache's one lock (locked / \
+       lookup_locked); the armed access log records each entry as a Write";
     (* -- core ------------------------------------------------------ *)
     f "lib/core/pool.ml" "t.*"
       "mutex: batch installation, generation bumps, stopping and the \

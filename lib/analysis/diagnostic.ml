@@ -276,14 +276,6 @@ let registry =
          draw RNG, counters and mode from the session it was handed; a \
          read through a process-global accessor breaks the isolation \
          that makes concurrent sessions sound." };
-    { ci_code = "RX308"; ci_severity = Error;
-      ci_summary = "lock-free shard hit differed from the locked reference lookup";
-      ci_detail =
-        "Under ROX_SANITIZE=1 every hit the sharded cache serves from \
-         its lock-free read image is replayed through the single-lock \
-         reference path; a mismatch means the published image diverged \
-         from the authoritative shard table (check image maintenance \
-         and epoch stamping first)." };
     { ci_code = "RX310"; ci_severity = Error;
       ci_summary = "partitioned parallel edge diverged from the sequential kernel";
       ci_detail =

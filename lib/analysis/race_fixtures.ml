@@ -131,16 +131,15 @@ let confined_leak () =
       Al.record ~site Al.Write;
       fork_join 1 (fun _ -> Al.record ~site Al.Write))
 
-(* A sharded-cache interleaving with a planted hole: domain 0 follows the
-   shard discipline (mutate only under the shard mutex), domain 1 plays a
-   broken "fast path" that writes the shard's byte counter lock-free.
-   The very bug the sharded Lru's published-image design exists to make
-   impossible — the detector must still have teeth for it. *)
-let shard_unguarded ?(iters = 48) () =
+(* A cache interleaving with a planted hole: domain 0 follows the cache
+   discipline (mutate only under the cache mutex), domain 1 plays a broken
+   "fast path" that writes the cache's byte counter lock-free. The bug a
+   lock-free read path invites — the detector must have teeth for it. *)
+let cache_unguarded ?(iters = 48) () =
   with_recording (fun () ->
       let bytes = ref 0 in
-      let site = Al.site ~name:"fixture.cache_shard" Al.Shared in
-      let lock = Al.lock ~name:"fixture.cache_shard.mutex" in
+      let site = Al.site ~name:"fixture.cache" Al.Shared in
+      let lock = Al.lock ~name:"fixture.cache.mutex" in
       let mutex = Mutex.create () in
       fork_join 2 (fun d ->
           for _ = 1 to iters do
@@ -150,18 +149,16 @@ let shard_unguarded ?(iters = 48) () =
                       Al.record ~site Al.Write;
                       incr bytes))
             else begin
-              (* planted: shard state mutated without the shard lock *)
+              (* planted: cache state mutated without the cache lock *)
               Al.record ~site Al.Write;
               decr bytes
             end
           done))
 
-(* The fixed twin is the real thing: a 4-shard Rox_cache.Lru hammered
-   from two domains through its public operations — per-shard mutexes on
-   every mutation, the lock-free path reading only the Atomic-published
-   image (which records nothing at the mutable shard sites because it
-   never touches them). Must come back clean. *)
-let shard_guarded ?(domains = 2) ?(iters = 120) () =
+(* The fixed twin is the real thing: the single-mutex Rox_cache.Lru
+   hammered from two domains through its public operations, every one of
+   which takes the cache's one lock. Must come back clean. *)
+let cache_guarded ?(domains = 2) ?(iters = 120) () =
   let module L = Rox_cache.Lru.Make (struct
     type t = string
 
@@ -169,15 +166,12 @@ let shard_guarded ?(domains = 2) ?(iters = 120) () =
     let hash = Hashtbl.hash
   end) in
   with_recording (fun () ->
-      let cache =
-        L.create ~name:"fixture.sharded_cache" ~shards:4 ~budget:4096 ()
-      in
+      let cache = L.create ~name:"fixture.lru" ~budget:4096 () in
       fork_join domains (fun d ->
           for i = 1 to iters do
             let k = Printf.sprintf "k%d" ((i + d) land 31) in
             L.add cache k ~weight:16 ((d * 100_000) + i);
-            ignore (L.find cache k : int option);
-            ignore (L.find_fast cache k : int option)
+            ignore (L.find cache k : int option)
           done))
 
 let all =
@@ -192,10 +186,10 @@ let all =
      "two paths guard one site with two different locks", [ "RX502" ]);
     ("confined-leak", (fun () -> confined_leak ()),
      "a session-confined site touched from a second domain", [ "RX504" ]);
-    ("shard-unguarded", (fun () -> shard_unguarded ()),
-     "a cache shard's bytes mutated by a lock-free writer", [ "RX501" ]);
-    ("shard-guarded", (fun () -> shard_guarded ()),
-     "the real 4-shard LRU hammered through its public ops", []);
+    ("cache-unguarded", (fun () -> cache_unguarded ()),
+     "a cache's bytes mutated by a lock-free writer", [ "RX501" ]);
+    ("cache-guarded", (fun () -> cache_guarded ()),
+     "the real single-mutex LRU hammered through its public ops", []);
   ]
 
 let find name =

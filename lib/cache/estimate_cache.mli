@@ -12,22 +12,12 @@
 
 type t
 
-val create :
-  ?shards:int ->
-  ?policy:Lru.policy ->
-  ?fast_path:bool ->
-  ?rebalance_every:int ->
-  ?validate:(unit -> int) ->
-  budget:int ->
-  unit ->
-  t
+val create : budget:int -> unit -> t
+(** [budget] in bytes of resident cut-off results (see {!Lru.S.create}). *)
 
-val find : ?sanitize:bool -> t -> Fingerprint.t -> Rox_algebra.Cutoff.t option
-val add : ?cost:int -> t -> Fingerprint.t -> Rox_algebra.Cutoff.t -> unit
-(** [cost] is the measured sampled-execution time (ns) — the input to
-    cost-aware eviction. *)
+val find : t -> Fingerprint.t -> Rox_algebra.Cutoff.t option
+val add : t -> Fingerprint.t -> Rox_algebra.Cutoff.t -> unit
 
 val weight : Rox_algebra.Cutoff.t -> int
 val stats : t -> Lru.stats
-val shard_stats : t -> Lru.stats array
 val clear : t -> unit

@@ -40,21 +40,3 @@ let option_column = function
   | None -> "domain"
 
 let make ~epoch parts = Printf.sprintf "e%d|%s" epoch (String.concat "|" parts)
-
-(* The same two FNV-1a streams over a key's *bytes* — used to place keys
-   on cache shards. [Hashtbl.hash] only mixes a string prefix, which would
-   send every "e<epoch>|axis..." key family to a handful of shards. *)
-let string_hash64 ~seed s =
-  let h = ref seed in
-  for i = 0 to String.length s - 1 do
-    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i)))) fnv_prime
-  done;
-  !h
-
-let shard_hash s =
-  let h =
-    Int64.logxor (string_hash64 ~seed:seed1 s) (string_hash64 ~seed:seed2 s)
-  in
-  (* High 30 bits, as a non-negative int: shard selection peels bits from
-     the top of this value, the in-shard hashtable from the bottom. *)
-  Int64.to_int (Int64.shift_right_logical h 34)

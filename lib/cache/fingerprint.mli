@@ -38,14 +38,3 @@ val make : epoch:int -> string list -> t
 (** Join the descriptor parts under the epoch: ["e<epoch>|p1|p2|..."].
     Parts must not contain ['|'] (enforced nowhere hot; keep descriptors
     to the label alphabet). *)
-
-val string_hash64 : seed:int64 -> string -> int64
-(** FNV-1a over a string's bytes (no length prefix — keys are
-    self-delimiting). *)
-
-val shard_hash : string -> int
-(** The high 30 bits of the XOR of the two seeded 64-bit digests of the
-    key's bytes, as a non-negative [int] in [\[0, 2^30)]. The sharded
-    {!Lru} takes its shard index from the *top* bits of this value and
-    feeds the rest to the in-shard hashtable, so both uses see
-    independent digest bits. *)

@@ -3,7 +3,6 @@ type stats = {
   misses : int;
   insertions : int;
   evictions : int;
-  cost_evictions : int;
   rejected : int;
   entries : int;
   bytes : int;
@@ -16,47 +15,22 @@ let stats_to_string s =
   let lookups = s.hits + s.misses in
   let rate = if lookups = 0 then 0.0 else float_of_int s.hits /. float_of_int lookups in
   Printf.sprintf
-    "hits %d / %d lookups (%.1f%%, %d lock-free), %d insertions, %d evictions \
-     (%d cost-aware), %d rejected, %d entries, %d / %d bytes, %d lock waits"
-    s.hits lookups (100.0 *. rate) s.fast_hits s.insertions s.evictions
-    s.cost_evictions s.rejected s.entries s.bytes s.budget s.lock_waits
-
-type policy = Lru_only | Cost_aware
-
-let policy_to_string = function Lru_only -> "lru" | Cost_aware -> "cost-aware"
-
-(* Cost-aware eviction scans at most this many entries from the cold end
-   of a shard's recency list and evicts the one with the lowest
-   cost-per-byte — a bounded GreedyDual: recency still dominates (only the
-   cold tail is eligible), cost breaks the tie inside the window. *)
-let cost_scan_window = 8
+    "hits %d / %d lookups (%.1f%%), %d insertions, %d evictions, %d rejected, \
+     %d entries, %d / %d bytes, %d lock waits"
+    s.hits lookups (100.0 *. rate) s.insertions s.evictions s.rejected s.entries
+    s.bytes s.budget s.lock_waits
 
 module type S = sig
   type key
   type 'v t
 
-  val create :
-    name:string ->
-    ?shards:int ->
-    ?policy:policy ->
-    ?fast_path:bool ->
-    ?rebalance_every:int ->
-    ?validate:(unit -> int) ->
-    ?check_equal:('v -> 'v -> bool) ->
-    budget:int ->
-    unit ->
-    'v t
-
-  val find : ?sanitize:bool -> 'v t -> key -> 'v option
-  val find_fast : 'v t -> key -> 'v option
+  val create : name:string -> budget:int -> unit -> 'v t
+  val find : 'v t -> key -> 'v option
   val mem : 'v t -> key -> bool
-  val add : 'v t -> key -> weight:int -> ?cost:int -> ?epoch:int -> 'v -> unit
+  val add : 'v t -> key -> weight:int -> 'v -> unit
   val remove : 'v t -> key -> unit
   val clear : 'v t -> unit
   val stats : 'v t -> stats
-  val shard_count : 'v t -> int
-  val shard_of : 'v t -> key -> int
-  val shard_stats : 'v t -> stats array
   val iter_coldest_first : 'v t -> (key -> 'v -> unit) -> unit
 end
 
@@ -64,7 +38,6 @@ module Make (K : Hashtbl.HashedType) : S with type key = K.t = struct
   type key = K.t
 
   module H = Hashtbl.Make (K)
-  module IM = Map.Make (Int)
 
   (* Doubly-linked recency list: [first] is coldest (next eviction victim),
      [last] is hottest. *)
@@ -72,30 +45,20 @@ module Make (K : Hashtbl.HashedType) : S with type key = K.t = struct
     nkey : key;
     mutable nvalue : 'v;
     mutable nweight : int;
-    mutable ncost : int;
     mutable prev : 'v node option;
     mutable next : 'v node option;
   }
 
-  (* Lock-free read image of one shard: full hash -> bucket of resident
-     entries, each stamped with the epoch it was admitted under. Writers
-     rebuild the persistent map under the shard lock and publish it with a
-     single [Atomic.set]; readers dereference whatever snapshot is current
-     without taking any lock — the map itself is immutable. *)
-  type 'v image = (key * 'v * int) list IM.t
-
-  type 'v shard = {
-    (* One lock per shard: misses and mutations serialize only against
-       operations on the same shard. *)
+  type 'v t = {
     lock : Mutex.t;
-    (* RX5xx access-log identities: every locked operation records one
-       Write at [al_site] while holding [al_lock], so the race detector
-       sees each shard as its own mutex-guarded shared site. Both are -1
-       when the log was disarmed at construction. *)
+    (* RX5xx access-log identities: every operation records one Write at
+       [al_site] while holding [al_lock], so the race detector sees the
+       cache as a mutex-guarded shared site. Both are -1 when the log was
+       disarmed at construction. *)
     al_site : int;
     al_lock : int;
     table : 'v node H.t;
-    mutable budget : int;
+    budget : int;
     mutable first : 'v node option;
     mutable last : 'v node option;
     mutable bytes : int;
@@ -103,426 +66,160 @@ module Make (K : Hashtbl.HashedType) : S with type key = K.t = struct
     mutable misses : int;
     mutable insertions : int;
     mutable evictions : int;
-    mutable cost_evictions : int;
     mutable rejected : int;
-    mutable last_ins : int;
-    image : 'v image Atomic.t;
-    waits : int Atomic.t;
-    fast : int Atomic.t;
+    mutable lock_waits : int;
   }
 
-  type 'v t = {
-    shards : 'v shard array;
-    shard_shift : int;
-    total_budget : int;
-    policy : policy;
-    fast_path : bool;
-    rebalance_every : int;
-    validate : (unit -> int) option;
-    check_equal : ('v -> 'v -> bool) option;
-    insert_seq : int Atomic.t;
-  }
-
-  let create ~name ?(shards = 1) ?(policy = Lru_only) ?(fast_path = true)
-      ?(rebalance_every = 1024) ?validate ?check_equal ~budget () =
-    if shards < 1 || shards land (shards - 1) <> 0 then
-      invalid_arg
-        (Printf.sprintf "Lru.create: shard count %d is not a power of two" shards);
+  let create ~name ~budget () =
     let armed = Rox_util.Accesslog.armed () in
-    let log2 =
-      let rec go n acc = if n <= 1 then acc else go (n lsr 1) (acc + 1) in
-      go shards 0
-    in
-    let mk_shard i =
-      let label = if shards = 1 then name else Printf.sprintf "%s.shard%d" name i in
-      {
-        lock = Mutex.create ();
-        al_site =
-          (if armed then Rox_util.Accesslog.site ~name:label Rox_util.Accesslog.Shared
-           else -1);
-        al_lock =
-          (if armed then Rox_util.Accesslog.lock ~name:(label ^ ".mutex") else -1);
-        table = H.create 64;
-        budget = (if budget <= 0 then 0 else budget / shards);
-        first = None;
-        last = None;
-        bytes = 0;
-        hits = 0;
-        misses = 0;
-        insertions = 0;
-        evictions = 0;
-        cost_evictions = 0;
-        rejected = 0;
-        last_ins = 0;
-        image = Atomic.make IM.empty;
-        waits = Atomic.make 0;
-        fast = Atomic.make 0;
-      }
-    in
     {
-      shards = Array.init shards mk_shard;
-      shard_shift = 30 - log2;
-      total_budget = max 0 budget;
-      policy;
-      fast_path;
-      rebalance_every;
-      validate;
-      check_equal;
-      insert_seq = Atomic.make 0;
+      lock = Mutex.create ();
+      al_site =
+        (if armed then Rox_util.Accesslog.site ~name Rox_util.Accesslog.Shared
+         else -1);
+      al_lock =
+        (if armed then Rox_util.Accesslog.lock ~name:(name ^ ".mutex") else -1);
+      table = H.create 64;
+      budget = max 0 budget;
+      first = None;
+      last = None;
+      bytes = 0;
+      hits = 0;
+      misses = 0;
+      insertions = 0;
+      evictions = 0;
+      rejected = 0;
+      lock_waits = 0;
     }
 
-  (* Shard by the *top* bits of the 30-bit hash: Fingerprint-backed keys
-     put their 2xFNV-1a digest bits there (see Fingerprint.shard_hash),
-     and the in-shard hashtable consumes the low bits, so the two uses
-     draw on independent digest bits. *)
-  let shard_index t k =
-    let n = Array.length t.shards in
-    if n = 1 then 0 else (K.hash k lsr t.shard_shift) land (n - 1)
-
-  let shard t k = t.shards.(shard_index t k)
-
-  let bracketed s f =
+  let bracketed t f =
     if Rox_util.Accesslog.armed () then
-      Rox_util.Accesslog.with_lock s.al_lock (fun () ->
-          Rox_util.Accesslog.record ~site:s.al_site Rox_util.Accesslog.Write;
+      Rox_util.Accesslog.with_lock t.al_lock (fun () ->
+          Rox_util.Accesslog.record ~site:t.al_site Rox_util.Accesslog.Write;
           f ())
     else f ()
 
-  let locked s f = Mutex.protect s.lock (fun () -> bracketed s f)
+  let locked t f = Mutex.protect t.lock (fun () -> bracketed t f)
 
-  let try_locked s f =
-    if not (Mutex.try_lock s.lock) then None
-    else
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock s.lock)
-        (fun () -> Some (bracketed s f))
+  (* [locked] for lookups: one that finds the mutex busy blocks like any
+     other operation and is counted in [lock_waits]. *)
+  let lookup_locked t f =
+    if not (Mutex.try_lock t.lock) then begin
+      Mutex.lock t.lock;
+      t.lock_waits <- t.lock_waits + 1
+    end;
+    Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) (fun () -> bracketed t f)
 
-  (* ---- recency list (all under the shard lock) ---- *)
+  (* ---- recency list (all under the lock) ---- *)
 
-  let unlink s n =
-    (match n.prev with Some p -> p.next <- n.next | None -> s.first <- n.next);
-    (match n.next with Some x -> x.prev <- n.prev | None -> s.last <- n.prev);
+  let unlink t n =
+    (match n.prev with Some p -> p.next <- n.next | None -> t.first <- n.next);
+    (match n.next with Some x -> x.prev <- n.prev | None -> t.last <- n.prev);
     n.prev <- None;
     n.next <- None
 
-  let push_hottest s n =
-    n.prev <- s.last;
+  let push_hottest t n =
+    n.prev <- t.last;
     n.next <- None;
-    (match s.last with Some l -> l.next <- Some n | None -> s.first <- Some n);
-    s.last <- Some n
+    (match t.last with Some l -> l.next <- Some n | None -> t.first <- Some n);
+    t.last <- Some n
 
-  let is_hottest s n = match s.last with Some l -> l == n | None -> false
-
-  let touch s n =
-    if not (is_hottest s n) then begin
-      unlink s n;
-      push_hottest s n
-    end
-
-  (* ---- published read image (writers hold the shard lock) ---- *)
-
-  let image_put s k v ep =
-    let h = K.hash k in
-    let m = Atomic.get s.image in
-    let bucket = match IM.find_opt h m with Some b -> b | None -> [] in
-    let bucket =
-      (k, v, ep) :: List.filter (fun (k', _, _) -> not (K.equal k' k)) bucket
-    in
-    Atomic.set s.image (IM.add h bucket m)
-
-  let image_del s k =
-    let h = K.hash k in
-    let m = Atomic.get s.image in
-    match IM.find_opt h m with
-    | None -> ()
-    | Some bucket ->
-      (match List.filter (fun (k', _, _) -> not (K.equal k' k)) bucket with
-       | [] -> Atomic.set s.image (IM.remove h m)
-       | bucket -> Atomic.set s.image (IM.add h bucket m))
-
-  let image_find s k =
-    match IM.find_opt (K.hash k) (Atomic.get s.image) with
-    | None -> None
-    | Some bucket ->
-      List.find_map
-        (fun (k', v, ep) -> if K.equal k' k then Some (v, ep) else None)
-        bucket
-
-  let epoch_ok t ep =
-    match t.validate with None -> true | Some current -> current () = ep
+  let touch t n =
+    match t.last with
+    | Some l when l == n -> ()
+    | _ ->
+      unlink t n;
+      push_hottest t n
 
   (* ---- core ops ---- *)
 
-  let find_locked s k =
-    match H.find_opt s.table k with
-    | Some n ->
-      s.hits <- s.hits + 1;
-      touch s n;
-      Some n.nvalue
-    | None ->
-      s.misses <- s.misses + 1;
-      None
+  let find t k =
+    lookup_locked t (fun () ->
+        match H.find_opt t.table k with
+        | Some n ->
+          t.hits <- t.hits + 1;
+          touch t n;
+          Some n.nvalue
+        | None ->
+          t.misses <- t.misses + 1;
+          None)
 
-  let find ?(sanitize = false) t k =
-    let s = shard t k in
-    match try_locked s (fun () -> find_locked s k) with
-    | Some r -> r
-    | None ->
-      (* The shard lock is busy: a hit can be served lock-free from the
-         published image, provided the entry's epoch stamp still matches
-         the engine. Misses (and disabled fast path) block like any
-         mutation would. *)
-      Atomic.incr s.waits;
-      let speculative =
-        if t.fast_path then
-          match image_find s k with
-          | Some (v, ep) when epoch_ok t ep -> Some v
-          | _ -> None
-        else None
-      in
-      (match speculative with
-       | Some v when not sanitize ->
-         Atomic.incr s.fast;
-         Some v
-       | Some v ->
-         (* ROX_SANITIZE: replay through the single-lock reference path
-            and insist the lock-free hit is the same result (RX308). An
-            entry evicted between the image read and lock acquisition is
-            not a violation — the reference answer wins either way. *)
-         let reference = locked s (fun () -> find_locked s k) in
-         (match reference with
-          | Some v' ->
-            let eq =
-              match t.check_equal with
-              | Some eq -> eq
-              | None -> fun a b -> a == b
-            in
-            if not (eq v v') then
-              Rox_algebra.Sanitize.fail ~op:"Lru.find(fast-path)"
-                ~contract:Rox_algebra.Sanitize.Shard_consistent
-                "lock-free hit differs from the locked reference entry"
-          | None -> ());
-         reference
-       | None -> locked s (fun () -> find_locked s k))
+  let mem t k = locked t (fun () -> H.mem t.table k)
 
-  let find_fast t k =
-    let s = shard t k in
-    match image_find s k with
-    | Some (v, ep) when epoch_ok t ep ->
-      Atomic.incr s.fast;
-      Some v
-    | _ -> None
+  let drop t n =
+    unlink t n;
+    H.remove t.table n.nkey;
+    t.bytes <- t.bytes - n.nweight
 
-  let mem t k =
-    let s = shard t k in
-    locked s (fun () -> H.mem s.table k)
-
-  let drop s n =
-    unlink s n;
-    H.remove s.table n.nkey;
-    image_del s n.nkey;
-    s.bytes <- s.bytes - n.nweight
-
-  let victim_score n = float_of_int n.ncost /. float_of_int (max 1 n.nweight)
-
-  let pick_victim t s =
-    match s.first with
-    | None -> None
-    | Some coldest ->
-      (match t.policy with
-       | Lru_only -> Some coldest
-       | Cost_aware ->
-         let best = ref coldest and best_score = ref (victim_score coldest) in
-         let cur = ref coldest.next and scanned = ref 1 in
-         let continue = ref true in
-         while !continue && !scanned < cost_scan_window do
-           (match !cur with
-            | Some n ->
-              let sc = victim_score n in
-              if sc < !best_score then begin
-                best := n;
-                best_score := sc
-              end;
-              cur := n.next;
-              incr scanned
-            | None -> continue := false)
-         done;
-         Some !best)
-
-  let evict_to_budget t s =
-    while s.bytes > s.budget do
-      match pick_victim t s with
-      | Some victim ->
-        (match s.first with
-         | Some coldest when not (coldest == victim) ->
-           s.cost_evictions <- s.cost_evictions + 1
-         | _ -> ());
-        drop s victim;
-        s.evictions <- s.evictions + 1
+  let evict_to_budget t =
+    while t.bytes > t.budget do
+      match t.first with
+      | Some coldest ->
+        drop t coldest;
+        t.evictions <- t.evictions + 1
       | None -> assert false (* bytes > 0 implies a resident entry *)
     done
 
-  (* Cheap budget rebalance: every [rebalance_every] insertions (across
-     all shards) redistribute the byte budget proportionally to each
-     shard's insertion demand since the last rebalance, with a floor of a
-     quarter-share so a cold shard is never starved. One shard lock at a
-     time, never nested — rebalance cannot deadlock against operations. *)
-  let rebalance t =
-    let n = Array.length t.shards in
-    let demand = Array.make n 1 in
-    Array.iteri
-      (fun i s ->
-        locked s (fun () ->
-            demand.(i) <- 1 + s.insertions - s.last_ins;
-            s.last_ins <- s.insertions))
-      t.shards;
-    let total_demand = Array.fold_left ( + ) 0 demand in
-    let floor_b = t.total_budget / (4 * n) in
-    let spread = t.total_budget - (n * floor_b) in
-    Array.iteri
-      (fun i s ->
-        let b = floor_b + (spread * demand.(i) / total_demand) in
-        locked s (fun () ->
-            s.budget <- b;
-            evict_to_budget t s))
-      t.shards
-
-  let maybe_rebalance t =
-    if t.rebalance_every > 0 && Array.length t.shards > 1 && t.total_budget > 0
-    then begin
-      let tick = Atomic.fetch_and_add t.insert_seq 1 + 1 in
-      if tick mod t.rebalance_every = 0 then rebalance t
-    end
-
-  let add t k ~weight ?(cost = 0) ?epoch v =
+  let add t k ~weight v =
     if weight < 0 then
       invalid_arg (Printf.sprintf "Lru.add: negative weight %d" weight);
-    let s = shard t k in
-    locked s (fun () ->
-        if s.budget <= 0 || weight > s.budget then begin
-          (* Too large to ever fit this shard: admitting it would just
-             flush the shard. *)
-          (match H.find_opt s.table k with Some n -> drop s n | None -> ());
-          s.rejected <- s.rejected + 1
+    locked t (fun () ->
+        if t.budget = 0 || weight > t.budget then begin
+          (* Too large to ever fit: admitting it would just flush the
+             cache. *)
+          (match H.find_opt t.table k with Some n -> drop t n | None -> ());
+          t.rejected <- t.rejected + 1
         end
         else begin
-          let ep =
-            match epoch with
-            | Some e -> e
-            | None -> (match t.validate with Some f -> f () | None -> 0)
-          in
-          (match H.find_opt s.table k with
+          (match H.find_opt t.table k with
            | Some n ->
-             s.bytes <- s.bytes - n.nweight + weight;
+             t.bytes <- t.bytes - n.nweight + weight;
              n.nvalue <- v;
              n.nweight <- weight;
-             n.ncost <- max cost 0;
-             touch s n
+             touch t n
            | None ->
-             let n =
-               {
-                 nkey = k;
-                 nvalue = v;
-                 nweight = weight;
-                 ncost = max cost 0;
-                 prev = None;
-                 next = None;
-               }
-             in
-             H.replace s.table k n;
-             push_hottest s n;
-             s.bytes <- s.bytes + weight);
-          image_put s k v ep;
-          s.insertions <- s.insertions + 1;
-          evict_to_budget t s
-        end);
-    maybe_rebalance t
+             let n = { nkey = k; nvalue = v; nweight = weight; prev = None; next = None } in
+             H.replace t.table k n;
+             push_hottest t n;
+             t.bytes <- t.bytes + weight);
+          t.insertions <- t.insertions + 1;
+          evict_to_budget t
+        end)
 
   let remove t k =
-    let s = shard t k in
-    locked s (fun () ->
-        match H.find_opt s.table k with Some n -> drop s n | None -> ())
+    locked t (fun () ->
+        match H.find_opt t.table k with Some n -> drop t n | None -> ())
 
   let clear t =
-    Array.iter
-      (fun s ->
-        locked s (fun () ->
-            H.reset s.table;
-            s.first <- None;
-            s.last <- None;
-            s.bytes <- 0;
-            Atomic.set s.image IM.empty))
-      t.shards
+    locked t (fun () ->
+        H.reset t.table;
+        t.first <- None;
+        t.last <- None;
+        t.bytes <- 0)
 
-  let shard_stat s =
-    locked s (fun () ->
+  let stats t =
+    locked t (fun () ->
         {
-          hits = s.hits + Atomic.get s.fast;
-          misses = s.misses;
-          insertions = s.insertions;
-          evictions = s.evictions;
-          cost_evictions = s.cost_evictions;
-          rejected = s.rejected;
-          entries = H.length s.table;
-          bytes = s.bytes;
-          budget = s.budget;
-          lock_waits = Atomic.get s.waits;
-          fast_hits = Atomic.get s.fast;
+          hits = t.hits;
+          misses = t.misses;
+          insertions = t.insertions;
+          evictions = t.evictions;
+          rejected = t.rejected;
+          entries = H.length t.table;
+          bytes = t.bytes;
+          budget = t.budget;
+          lock_waits = t.lock_waits;
+          fast_hits = 0;
         })
 
-  (* Aggregation takes each shard lock in turn, never all at once: the
-     result is a sum of per-shard snapshots, not one global atomic
-     snapshot — fine for the monotonic counters it reports. *)
-  let stats t =
-    let acc =
-      Array.fold_left
-        (fun (a : stats) s ->
-          let x = shard_stat s in
-          {
-            hits = a.hits + x.hits;
-            misses = a.misses + x.misses;
-            insertions = a.insertions + x.insertions;
-            evictions = a.evictions + x.evictions;
-            cost_evictions = a.cost_evictions + x.cost_evictions;
-            rejected = a.rejected + x.rejected;
-            entries = a.entries + x.entries;
-            bytes = a.bytes + x.bytes;
-            budget = a.budget;
-            lock_waits = a.lock_waits + x.lock_waits;
-            fast_hits = a.fast_hits + x.fast_hits;
-          })
-        {
-          hits = 0;
-          misses = 0;
-          insertions = 0;
-          evictions = 0;
-          cost_evictions = 0;
-          rejected = 0;
-          entries = 0;
-          bytes = 0;
-          budget = t.total_budget;
-          lock_waits = 0;
-          fast_hits = 0;
-        }
-        t.shards
-    in
-    acc
-
-  let shard_count t = Array.length t.shards
-  let shard_of = shard_index
-  let shard_stats t = Array.map shard_stat t.shards
-
   let iter_coldest_first t f =
-    Array.iter
-      (fun s ->
-        locked s (fun () ->
-            let rec go = function
-              | None -> ()
-              | Some n ->
-                let next = n.next in
-                f n.nkey n.nvalue;
-                go next
-            in
-            go s.first))
-      t.shards
+    locked t (fun () ->
+        let rec go = function
+          | None -> ()
+          | Some n ->
+            let next = n.next in
+            f n.nkey n.nvalue;
+            go next
+        in
+        go t.first)
 end

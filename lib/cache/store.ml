@@ -5,31 +5,18 @@ type t = {
 }
 
 let default_budget = 16 * 1024 * 1024
-let default_shards = 4
 
 let create ?(relation_budget = default_budget) ?(estimate_budget = default_budget)
-    ?(shards = default_shards) ?(policy = Lru.Lru_only) ?fast_path
-    ?rebalance_every engine =
-  (* Fast-path hits validate against the engine's O(1) mutation epoch:
-     a stale entry (admitted before a document registration or an
-     explicit bump) is never served lock-free. *)
-  let validate () = Rox_storage.Engine.epoch engine in
+    engine =
   {
     engine;
-    relations =
-      Relation_cache.create ~shards ~policy ?fast_path ?rebalance_every
-        ~validate ~budget:relation_budget ();
-    estimates =
-      Estimate_cache.create ~shards ~policy ?fast_path ?rebalance_every
-        ~validate ~budget:estimate_budget ();
+    relations = Relation_cache.create ~budget:relation_budget ();
+    estimates = Estimate_cache.create ~budget:estimate_budget ();
   }
 
-let of_megabytes ?shards ?policy ?fast_path engine mb =
+let of_megabytes engine mb =
   let bytes = mb * 1024 * 1024 in
-  create
-    ~relation_budget:(bytes * 3 / 4)
-    ~estimate_budget:(bytes / 4)
-    ?shards ?policy ?fast_path engine
+  create ~relation_budget:(bytes * 3 / 4) ~estimate_budget:(bytes / 4) engine
 
 let engine t = t.engine
 let epoch t = Rox_storage.Engine.epoch t.engine
@@ -45,16 +32,11 @@ let stats (t : t) : stats =
   { relations = Relation_cache.stats t.relations;
     estimates = Estimate_cache.stats t.estimates }
 
-let shard_stats (t : t) =
-  (Relation_cache.shard_stats t.relations, Estimate_cache.shard_stats t.estimates)
-
 let observe_into t m =
-  (* Lru.stats already sums every shard (one shard lock at a time), so
-     the residency gauge reflects the whole store, not one shard. *)
   let s = stats t in
   Rox_telemetry.Metrics.set m.Rox_telemetry.Metrics.cache_resident_bytes
     (float_of_int (s.relations.Lru.bytes + s.estimates.Lru.bytes));
-  Rox_telemetry.Metrics.set m.Rox_telemetry.Metrics.cache_shard_lock_waits
+  Rox_telemetry.Metrics.set m.Rox_telemetry.Metrics.cache_lock_waits
     (float_of_int (s.relations.Lru.lock_waits + s.estimates.Lru.lock_waits))
 
 let stats_to_string s =

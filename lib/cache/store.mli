@@ -9,37 +9,21 @@
     document registration (or an explicit
     {!Rox_storage.Engine.bump_epoch}) can never hit again — invalidation
     is one integer increment; the dead entries age out of the LRU under
-    normal insertion pressure. The same epoch also validates the sharded
-    caches' lock-free read fast path ({!Lru}): a hit whose stored epoch
-    stamp disagrees with the engine is never served without the lock.
+    normal insertion pressure.
 
     A store is deliberately *external* to any single query run: create it
     once next to the engine and pass it to every optimizer invocation to
-    get cross-query reuse. Both member caches are sharded ([shards]
-    power-of-two slices, each with its own mutex), so concurrent sessions
-    on separate domains contend only when they touch the same shard. *)
+    get cross-query reuse. Each member cache is one {!Lru} behind one
+    mutex, so concurrent sessions on separate domains may share a store;
+    contention shows up in the [lock_waits] counters. *)
 
 type t
 
-val default_shards : int
-(** Shards per member cache when unspecified (4). *)
-
 val create :
-  ?relation_budget:int ->
-  ?estimate_budget:int ->
-  ?shards:int ->
-  ?policy:Lru.policy ->
-  ?fast_path:bool ->
-  ?rebalance_every:int ->
-  Rox_storage.Engine.t ->
-  t
-(** Budgets in bytes; both default to 16 MiB. [shards]/[policy]/
-    [fast_path]/[rebalance_every] configure both member caches (see
-    {!Lru.S.create}); epoch validation is wired to the engine. *)
+  ?relation_budget:int -> ?estimate_budget:int -> Rox_storage.Engine.t -> t
+(** Budgets in bytes; both default to 16 MiB. *)
 
-val of_megabytes :
-  ?shards:int -> ?policy:Lru.policy -> ?fast_path:bool ->
-  Rox_storage.Engine.t -> int -> t
+val of_megabytes : Rox_storage.Engine.t -> int -> t
 (** The CLI's [--cache-mb n]: 3/4 of the budget to relations, 1/4 to
     estimates. [n <= 0] yields a store that caches nothing. *)
 
@@ -56,17 +40,13 @@ type stats = {
 }
 
 val stats : t -> stats
-val shard_stats : t -> Lru.stats array * Lru.stats array
-(** Per-shard snapshots of (relations, estimates) — the serving STATS
-    surface. *)
-
 val stats_to_string : stats -> string
 
 val observe_into : t -> Rox_telemetry.Metrics.t -> unit
-(** Record the store's current residency (relation + estimate bytes,
-    summed across every shard) into the registry's [cache_resident_bytes]
-    gauge, and the accumulated shard-lock contention into
-    [cache_shard_lock_waits]. Call at export time — gauges are
-    point-in-time observations, not counters. *)
+(** Record the store's current residency (relation + estimate bytes)
+    into the registry's [cache_resident_bytes] gauge, and the accumulated
+    lock contention of both member caches into [cache_lock_waits]. Call
+    at export time — gauges are point-in-time observations, not
+    counters. *)
 
 val clear : t -> unit

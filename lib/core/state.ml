@@ -112,10 +112,7 @@ let sampled_cutoff t (e : Edge.t) ~outer ~sample ~inner_table ~limit =
   | Some store ->
     let key = est_key t e ~outer ~sample ~inner_table ~limit store in
     let estimates = Rox_cache.Store.estimates store in
-    (match
-       Rox_cache.Estimate_cache.find ~sanitize:(Session.sanitize t.session)
-         estimates key
-     with
+    (match Rox_cache.Estimate_cache.find estimates key with
      | Some cut ->
        est_note_lookup t true;
        Trace.emit (trace t)
@@ -126,10 +123,8 @@ let sampled_cutoff t (e : Edge.t) ~outer ~sample ~inner_table ~limit =
        est_note_lookup t false;
        Trace.emit (trace t)
          (Trace.Cache_lookup { edge = e.Edge.id; store = `Estimate; hit = false });
-       let t0 = Rox_telemetry.Clock.now_ns () in
        let cut = run_charged () in
-       let cost = Rox_telemetry.Clock.elapsed_ns t0 in
-       Rox_cache.Estimate_cache.add ~cost estimates key cut;
+       Rox_cache.Estimate_cache.add estimates key cut;
        cut)
 
 type probe = {
@@ -188,10 +183,7 @@ let sampled_cutoff_batch t probes =
                ~inner_table:p.p_inner ~limit:p.p_limit store
            in
            keys.(i) <- Some (key, estimates);
-           match
-             Rox_cache.Estimate_cache.find
-               ~sanitize:(Session.sanitize t.session) estimates key
-           with
+           match Rox_cache.Estimate_cache.find estimates key with
            | Some cut ->
              est_note_lookup t true;
              Trace.emit (trace t)
@@ -239,7 +231,7 @@ let sampled_cutoff_batch t probes =
         end;
         (match keys.(i) with
          | Some (key, estimates) ->
-           Rox_cache.Estimate_cache.add ~cost:dur estimates key cut
+           Rox_cache.Estimate_cache.add estimates key cut
          | None -> ());
         results.(i) <- Some cut)
       miss;

@@ -262,7 +262,7 @@ let cached_pairs ?meter t (e : Edge.t) plan =
   | Some store ->
     let key = edge_fingerprint t e store plan in
     let relations = Rox_cache.Store.relations store in
-    (match Rox_cache.Relation_cache.find ~sanitize:t.sanitize relations key with
+    (match Rox_cache.Relation_cache.find relations key with
      | Some v ->
        note_lookup true;
        let pairs =
@@ -280,12 +280,8 @@ let cached_pairs ?meter t (e : Edge.t) plan =
        (pairs, true)
      | None ->
        note_lookup false;
-       (* The measured recomputation cost rides into the cache entry:
-          cost-aware eviction keeps what was expensive to produce. *)
-       let t0 = Rox_telemetry.Clock.now_ns () in
        let pairs = plan.run meter in
-       let cost = Rox_telemetry.Clock.elapsed_ns t0 in
-       Rox_cache.Relation_cache.add ~cost relations key
+       Rox_cache.Relation_cache.add relations key
          { Rox_cache.Relation_cache.left = pairs.Exec.left; right = pairs.Exec.right };
        (pairs, false))
 

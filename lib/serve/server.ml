@@ -696,39 +696,24 @@ let stats_kvs t =
           ("workers", string_of_int t.cfg.workers);
         ])
   in
-  (* Cache shard surface: per-shard residency plus the eviction and
-     contention counters the sharded store maintains (no server lock —
-     Store aggregates one shard lock at a time). *)
+  (* Cache surface: residency, eviction, reuse and contention counters of
+     each member cache (no server lock — each cache snapshots under its
+     own mutex). *)
   let cache_kvs =
     match t.cfg.cache with
     | None -> []
     | Some store ->
-      let rel, est = Rox_cache.Store.shard_stats store in
-      let member name (per : Rox_cache.Lru.stats array) =
-        let sum f = Array.fold_left (fun a s -> a + f s) 0 per in
-        let open Rox_cache.Lru in
-        [
-          (Printf.sprintf "cache.%s.shards" name, string_of_int (Array.length per));
-          (Printf.sprintf "cache.%s.bytes" name, string_of_int (sum (fun s -> s.bytes)));
-          (Printf.sprintf "cache.%s.entries" name, string_of_int (sum (fun s -> s.entries)));
-          (Printf.sprintf "cache.%s.evictions" name, string_of_int (sum (fun s -> s.evictions)));
-          ( Printf.sprintf "cache.%s.cost_evictions" name,
-            string_of_int (sum (fun s -> s.cost_evictions)) );
-          (Printf.sprintf "cache.%s.lock_waits" name, string_of_int (sum (fun s -> s.lock_waits)));
-          (Printf.sprintf "cache.%s.fast_hits" name, string_of_int (sum (fun s -> s.fast_hits)));
-        ]
-        @ List.concat
-            (List.mapi
-               (fun i (s : Rox_cache.Lru.stats) ->
-                 [
-                   ( Printf.sprintf "cache.%s.shard%d.bytes" name i,
-                     string_of_int s.bytes );
-                   ( Printf.sprintf "cache.%s.shard%d.entries" name i,
-                     string_of_int s.entries );
-                 ])
-               (Array.to_list per))
+      let st = Rox_cache.Store.stats store in
+      let member name (s : Rox_cache.Lru.stats) =
+        List.map
+          (fun (k, v) -> (Printf.sprintf "cache.%s.%s" name k, string_of_int v))
+          [
+            ("bytes", s.bytes); ("entries", s.entries); ("evictions", s.evictions);
+            ("hits", s.hits); ("misses", s.misses); ("lock_waits", s.lock_waits);
+          ]
       in
-      member "relations" rel @ member "estimates" est
+      member "relations" st.Rox_cache.Store.relations
+      @ member "estimates" st.Rox_cache.Store.estimates
   in
   (* Recorder counters come from the recorder's own slot mutexes — never
      inside the server lock. *)

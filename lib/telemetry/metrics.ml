@@ -49,7 +49,7 @@ type t = {
   queue_wait_ns : histogram;
   serve_ns : histogram;
   cache_resident_bytes : gauge;
-  cache_shard_lock_waits : gauge;
+  cache_lock_waits : gauge;
   queue_depth : gauge;
 }
 
@@ -121,9 +121,9 @@ let create () =
         "whole served-request latency (queue wait + execution)";
     cache_resident_bytes =
       gauge "rox_cache_resident_bytes" "bytes resident in the cross-query cache";
-    cache_shard_lock_waits =
-      gauge "rox_cache_shard_lock_waits"
-        "cache lookups that found their shard lock busy (cumulative, last observed)";
+    cache_lock_waits =
+      gauge "rox_cache_lock_waits"
+        "cache lookups that found the cache lock busy (cumulative, last observed)";
     queue_depth = gauge "rox_serve_queue_depth" "requests waiting in the admission queue";
   }
 
@@ -197,7 +197,7 @@ let counters t =
     t.partition_tasks;
   ]
 
-let gauges t = [ t.cache_resident_bytes; t.cache_shard_lock_waits; t.queue_depth ]
+let gauges t = [ t.cache_resident_bytes; t.cache_lock_waits; t.queue_depth ]
 
 let histograms t =
   [ t.compile_ns; t.query_ns; t.edge_execution_ns; t.chain_round_ns;

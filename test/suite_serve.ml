@@ -679,6 +679,82 @@ let test_socketpair_scrape_session () =
   Alcotest.(check bool) "bye" true (bye = P.Bye);
   Alcotest.(check (list string)) "audit clean" [] (codes (S.self_check server))
 
+(* ---------- cache surface of STATS ------------------------------------ *)
+
+(* A scripted session against a server with a shared cache: two queries
+   (the repeat hits), then STATS. Each member cache reports exactly one
+   set of counters, and the residency it reports is the store's own. *)
+let test_stats_cache_keys () =
+  let engine = library_engine () in
+  let store = Rox_cache.Store.of_megabytes engine 1 in
+  let server =
+    S.create (S.config ~cache:store ~workers:2 ~queue_capacity:8 engine)
+  in
+  let srv_fd, cli_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let client =
+    Domain.spawn (fun () ->
+        let d = P.decoder () in
+        let send r = P.write_frame cli_fd (P.render_request r) in
+        let recv () =
+          match P.read_frame cli_fd d with
+          | `Frame payload -> (
+            match P.parse_response payload with
+            | Ok r -> r
+            | Error m -> failwith m)
+          | `Eof -> failwith "eof"
+          | `Corrupt m -> failwith m
+        in
+        send (P.Query (P.query library_query));
+        let first = recv () in
+        send (P.Query (P.query library_query));
+        let second = recv () in
+        send P.Stats;
+        let stats = recv () in
+        send P.Quit;
+        let bye = recv () in
+        Unix.close cli_fd;
+        (first, second, stats, bye))
+  in
+  S.handle_connection server srv_fd;
+  let first, second, stats, bye = Domain.join client in
+  S.shutdown server;
+  let reference = reference_ids engine library_query in
+  List.iter
+    (function
+      | P.Answer { ids; _ } ->
+        Alcotest.(check bool) "answer matches reference" true (ids = reference)
+      | r -> Alcotest.failf "want answer, got %s" (P.render_response r))
+    [ first; second ];
+  Alcotest.(check bool) "bye" true (bye = P.Bye);
+  let kvs =
+    match stats with
+    | P.Stats_reply kvs -> kvs
+    | r -> Alcotest.failf "want STATS reply, got %s" (P.render_response r)
+  in
+  let st = Rox_cache.Store.stats store in
+  List.iter
+    (fun (name, (s : Rox_cache.Lru.stats)) ->
+      let key k = Printf.sprintf "cache.%s.%s" name k in
+      List.iter
+        (fun k ->
+          Alcotest.(check bool) (key k ^ " present") true (List.mem_assoc (key k) kvs))
+        [ "bytes"; "entries"; "evictions"; "hits"; "misses"; "lock_waits" ];
+      Alcotest.(check string) (key "bytes" ^ " = Store.stats")
+        (string_of_int s.Rox_cache.Lru.bytes) (List.assoc (key "bytes") kvs);
+      let cache_keys =
+        List.filter
+          (fun (k, _) -> String.starts_with ~prefix:(Printf.sprintf "cache.%s." name) k)
+          kvs
+      in
+      Alcotest.(check int) (name ^ ": one set of keys") 6 (List.length cache_keys))
+    [ ("relations", st.Rox_cache.Store.relations);
+      ("estimates", st.Rox_cache.Store.estimates) ];
+  Alcotest.(check bool) "the repeat query hit the cache" true
+    (int_of_string (List.assoc "cache.relations.hits" kvs) > 0);
+  Alcotest.(check bool) "resident" true
+    (st.Rox_cache.Store.relations.Rox_cache.Lru.bytes > 0);
+  Alcotest.(check (list string)) "audit clean" [] (codes (S.self_check server))
+
 let suite =
   [
     Alcotest.test_case "protocol: request round-trip" `Quick test_request_roundtrip;
@@ -701,4 +777,5 @@ let suite =
     Alcotest.test_case "protocol: scrape verbs round-trip" `Quick test_scrape_roundtrip;
     Alcotest.test_case "flight recorder: STATS/METRICS/RECENT/TRACE" `Quick test_flight_recorder_scrape;
     Alcotest.test_case "e2e: scrape verbs over a socketpair" `Quick test_socketpair_scrape_session;
+    Alcotest.test_case "STATS: one set of cache keys per member" `Quick test_stats_cache_keys;
   ]
