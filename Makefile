@@ -1,4 +1,4 @@
-.PHONY: all build test analyze lint racecheck sanitize bench-smoke profile-smoke serve-smoke recorder-smoke par-smoke check clean
+.PHONY: all build test analyze lint racecheck sanitize bench-smoke profile-smoke serve-smoke recorder-smoke check clean
 
 all: build
 
@@ -35,12 +35,11 @@ racecheck:
 	  echo "racecheck: seeded race was NOT flagged (expected exit 1)"; exit 1; \
 	else echo "racecheck: seeded race correctly rejected"; fi
 
-# Runtime contract checks (RX301-RX307, RX310): the analyze workloads
-# plus the fuzz suite with every operator call cross-checked — columnar
-# kernels bit-for-bit against the row-major reference, sorted flags
-# audited, cache hits replayed against a fresh execution (RX304),
-# session confinement (no global reads on a session's path) and
-# partitioned edges against the sequential kernel armed.
+# Runtime contract checks (RX301-RX307): the analyze workloads plus the
+# fuzz suite with every operator call cross-checked — columnar kernels
+# bit-for-bit against the row-major reference, sorted flags audited,
+# cache hits replayed against a fresh execution (RX304) and session
+# confinement (no global reads on a session's path) armed.
 sanitize:
 	ROX_SANITIZE=1 dune exec bin/rox_cli.exe -- analyze
 	ROX_SANITIZE=1 dune exec test/test_main.exe -- test fuzz
@@ -75,16 +74,6 @@ recorder-smoke:
 	  --slow-log rox_slow.jsonl --slow-ms 0
 	dune exec bin/rox_cli.exe -- trace-validate rox_slow.jsonl.trace.json
 
-# Intra-query parallelism under the sanitizer: the built-in profile
-# workload at --parallel-parts 2, so every partitioned edge kernel is
-# replayed sequentially and bit-compared (RX310 Partition_consistent)
-# and every concurrent racing probe must reproduce the sequential
-# scores. Catches partition/merge divergence that a 1-core container's
-# timing never would.
-par-smoke:
-	ROX_SANITIZE=1 dune exec bin/rox_cli.exe -- profile --parallel-parts 2 \
-	  --scale 0.02 > /dev/null
-
 # An instrumented run of the built-in XMark workload: --profile summary
 # on stderr, Chrome trace-event JSON + Prometheus metrics on disk, then
 # the emitted trace parsed back and schema-checked (well-nested spans,
@@ -94,8 +83,7 @@ profile-smoke:
 	  --trace-out rox_trace.json --metrics-out rox_metrics.prom
 	dune exec bin/rox_cli.exe -- trace-validate rox_trace.json
 
-check: build test analyze lint racecheck sanitize profile-smoke serve-smoke recorder-smoke par-smoke
-	-$(MAKE) bench-smoke
+check: build test analyze lint racecheck sanitize profile-smoke serve-smoke recorder-smoke
 
 clean:
 	dune clean

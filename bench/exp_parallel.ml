@@ -63,32 +63,6 @@ let answers_equal lists =
 
 let json_escape_float f = Printf.sprintf "%.2f" f
 
-(* ---- intra-query leg ------------------------------------------------ *)
-
-(* ONE query fanned out across a session pool: every physical join runs
-   as K partition-joins and the racing probes go concurrently, merged in
-   partition order. The answers must be bit-identical at every K (the
-   partition/concat contract, RX310); the timing is reported honestly —
-   on a 1-core container sub-1x is the expected result and the machine
-   stamp says so. *)
-let intra_query ~iters compiled reference =
-  List.map
-    (fun parts ->
-      let pool =
-        if parts > 1 then Some (Rox_core.Pool.create ~parts) else None
-      in
-      let ok = ref true in
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to iters do
-        let session = Rox_core.Session.create ?pool () in
-        let answer = fst (Rox_core.Optimizer.answer session compiled) in
-        if answer <> reference then ok := false
-      done;
-      let dt = Unix.gettimeofday () -. t0 in
-      Option.iter Rox_core.Pool.shutdown pool;
-      (parts, dt, !ok))
-    [ 1; 2; 4 ]
-
 let run ?(factor = 0.25) ?(iters = 3) () =
   header "Parallel sessions: N domains, one shared engine";
   let engine = xmark_engine ~factor () in
@@ -141,26 +115,6 @@ let run ?(factor = 0.25) ?(iters = 3) () =
   Printf.printf "telemetry aggregate, %d domains: %d/%d queries served%s\n%!"
     telemetry_domains served expected_served
     (if telemetry_ok then "" else "  INCONSISTENT");
-  (* Intra-query partitioning: the SAME single query at 1, 2 and 4
-     partitions on a session pool. *)
-  let intra_compiled = List.hd compiled_list in
-  let intra_reference = List.hd reference in
-  let intra = intra_query ~iters:(max 1 iters) intra_compiled intra_reference in
-  let intra_t1 =
-    match intra with (1, dt, _) :: _ -> dt | _ -> 0.0
-  in
-  List.iter
-    (fun (parts, dt, ok) ->
-      Printf.printf
-        "intra-query, %d part(s): %.3fs (%.2fx vs sequential)%s\n%!" parts dt
-        (if dt > 0.0 then intra_t1 /. dt else 0.0)
-        (if ok then "" else "  ANSWERS DIVERGED"))
-    intra;
-  let intra_ok = List.for_all (fun (_, _, ok) -> ok) intra in
-  if n_cores < 4 then
-    Printf.printf
-      "note: intra-query speedup is bounded by the %d available core(s)\n%!"
-      n_cores;
   let qps_of d = List.find_opt (fun (d', _, _) -> d' = d) runs in
   let speedup =
     match (qps_of 1, qps_of 4) with
@@ -176,7 +130,7 @@ let run ?(factor = 0.25) ?(iters = 3) () =
            n_cores
        else " on a >= 4-core machine: investigate");
   let all_identical =
-    cache_ok && telemetry_ok && intra_ok
+    cache_ok && telemetry_ok
     && List.for_all (fun (_, _, ok) -> ok) runs
   in
   let buf = Buffer.create 512 in
@@ -205,20 +159,6 @@ let run ?(factor = 0.25) ?(iters = 3) () =
     (Printf.sprintf "  \"telemetry_consistent\": %b,\n" telemetry_ok);
   Buffer.add_string buf
     (Printf.sprintf "  \"aggregate_merges\": %d,\n" merges);
-  Buffer.add_string buf "  \"intra_query\": {\n    \"runs\": [\n";
-  List.iteri
-    (fun i (parts, dt, ok) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "      {\"parts\": %d, \"seconds\": %.3f, \"speedup_vs_1\": %s, \
-            \"identical\": %b}%s\n"
-           parts dt
-           (json_escape_float (if dt > 0.0 then intra_t1 /. dt else 0.0))
-           ok
-           (if i = List.length intra - 1 then "" else ",")))
-    intra;
-  Buffer.add_string buf
-    (Printf.sprintf "    ],\n    \"identical\": %b\n  },\n" intra_ok);
   Buffer.add_string buf
     (Printf.sprintf "  \"all_identical\": %b\n" all_identical);
   Buffer.add_string buf "}\n";

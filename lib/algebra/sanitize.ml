@@ -6,7 +6,6 @@ type contract =
   | Sorted_flag
   | Kernel_equiv
   | Session_confined
-  | Partition_consistent
 
 type violation = {
   op : string;
@@ -24,8 +23,6 @@ let contract_label = function
   | Sorted_flag -> "column sorted flag honest (strictly increasing)"
   | Kernel_equiv -> "columnar kernel bit-identical to naive reference"
   | Session_confined -> "per-query state reached only through the session"
-  | Partition_consistent ->
-    "partitioned parallel kernel bit-identical to sequential kernel"
 
 let fail ~op ~contract detail = raise (Violation { op; contract; detail })
 

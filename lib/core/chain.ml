@@ -119,13 +119,10 @@ let run ?grow_cutoff ?(max_rounds = 12) state =
           incr round;
           if grow_cutoff && !round > 1 then cutoff := !cutoff + tau;
           let extended = ref false in
-          (* Gather the round's competitor set first: [cutoff] is fixed for
-             the whole round (it only grows at round start), so every
-             frontier probe is known up front and the batch can race them
-             concurrently on the session pool. The flattened probe order is
-             exactly the order the sequential per-probe loop used, and
-             [sampled_cutoff_batch] keeps all session effects in that
-             order, so segment labels, costs and the trace are unchanged. *)
+          (* [cutoff] is fixed for the whole round (it only grows at
+             round start). Each frontier edge is probed in path order, then
+             edge order, so segment labels, costs, estimate-cache lookups
+             and the trace follow one deterministic order. *)
           let jobs =
             List.map
               (fun p ->
@@ -137,30 +134,6 @@ let run ?grow_cutoff ?(max_rounds = 12) state =
                 (p, frontier))
               !paths
           in
-          let probes =
-            List.concat_map
-              (fun (p, frontier) ->
-                List.map
-                  (fun e' ->
-                    let outer =
-                      if e'.Edge.v1 = p.s_stop then Exec.From_v1 else Exec.From_v2
-                    in
-                    { State.p_edge = e';
-                      p_outer = outer;
-                      p_sample = p.s_input;
-                      p_inner = Runtime.table runtime (Edge.other_end e' p.s_stop);
-                      p_limit = !cutoff })
-                  frontier)
-              jobs
-          in
-          let cuts = ref (State.sampled_cutoff_batch state probes) in
-          let next_cut () =
-            match !cuts with
-            | c :: rest ->
-              cuts := rest;
-              c
-            | [] -> assert false
-          in
           let next =
             List.concat_map
               (fun (p, frontier) ->
@@ -169,7 +142,13 @@ let run ?grow_cutoff ?(max_rounds = 12) state =
                   List.mapi
                     (fun branch_idx e' ->
                       let v' = Edge.other_end e' p.s_stop in
-                      let cut = next_cut () in
+                      let outer =
+                        if e'.Edge.v1 = p.s_stop then Exec.From_v1 else Exec.From_v2
+                      in
+                      let cut =
+                        State.sampled_cutoff state e' ~outer ~sample:p.s_input
+                          ~inner_table:(Runtime.table runtime v') ~limit:!cutoff
+                      in
                       let est = cut.Rox_algebra.Cutoff.est in
                       {
                         s_edges = p.s_edges @ [ e' ];

@@ -24,7 +24,6 @@ type config = {
   session : Session.config;
   telemetry : bool;
   max_frame : int;
-  parallel_parts : int;
   recorder : bool;
   slow_ms : int option;
   slow_log : string option;
@@ -32,7 +31,7 @@ type config = {
 
 let config ?cache ?(workers = 2) ?(queue_capacity = 64)
     ?(max_connections = 256) ?session ?(telemetry = true)
-    ?(max_frame = Protocol.default_max_frame) ?(parallel_parts = 1)
+    ?(max_frame = Protocol.default_max_frame)
     ?(recorder = true) ?slow_ms ?slow_log engine =
   let session =
     match session with Some s -> s | None -> Session.default_config ()
@@ -40,7 +39,6 @@ let config ?cache ?(workers = 2) ?(queue_capacity = 64)
   if workers < 0 then invalid_arg "Server.config: workers < 0";
   if queue_capacity < 1 then invalid_arg "Server.config: queue_capacity < 1";
   if max_connections < 1 then invalid_arg "Server.config: max_connections < 1";
-  if parallel_parts < 1 then invalid_arg "Server.config: parallel_parts < 1";
   (match slow_ms with
    | Some n when n < 0 -> invalid_arg "Server.config: slow_ms < 0"
    | _ -> ());
@@ -53,7 +51,6 @@ let config ?cache ?(workers = 2) ?(queue_capacity = 64)
     session;
     telemetry;
     max_frame;
-    parallel_parts;
     recorder;
     slow_ms;
     slow_log;
@@ -111,10 +108,6 @@ type t = {
   aggregate : Aggregate.t;          (* absorbed per-request session sinks *)
   mutable stopping : bool;
   mutable workers : unit Domain.t list;
-  (* One intra-query pool shared by all request sessions ([None] when
-     parallel_parts = 1): Pool.run serializes concurrent batches, so
-     several worker domains can route partition tasks through it safely. *)
-  pool : Rox_core.Pool.t option;
   sanitize_coalesce : bool;
   (* The flight recorder: always-on request records, tail-sampled trace
      retention, slow log. Its own per-domain slots and small mutexes —
@@ -212,7 +205,7 @@ let run_query t (q : Protocol.query) ~deadline_ms ~absorb =
     }
   in
   let session =
-    Session.create ~config ?cache:t.cfg.cache ~telemetry:sink ?pool:t.pool ()
+    Session.create ~config ?cache:t.cfg.cache ~telemetry:sink ()
   in
   let resp, plan =
     try
@@ -435,10 +428,6 @@ let create cfg =
       aggregate = Aggregate.create ();
       stopping = false;
       workers = [];
-      pool =
-        (if cfg.parallel_parts > 1 then
-           Some (Rox_core.Pool.create ~parts:cfg.parallel_parts)
-         else None);
       sanitize_coalesce = Sanitize.default_mode ();
       recorder =
         (if cfg.recorder then
@@ -481,10 +470,7 @@ let shutdown t =
        (fun d ->
          Domain.join d;
          Accesslog.hb_acquire t.hb_done)
-       workers;
-     (* After the request workers joined no session can reach the shared
-        pool, so this is the quiescent point to retire it. *)
-     Option.iter Rox_core.Pool.shutdown t.pool);
+       workers);
   (* Workers drain the queue before exiting; anything still here means
      workers = 0. Fail it as rejected so the RX603 balance holds and no
      awaiting client hangs. *)

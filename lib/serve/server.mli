@@ -48,12 +48,6 @@ type config = {
           budgets, client_id) win field-by-field *)
   telemetry : bool;     (** per-request sinks + process aggregate *)
   max_frame : int;      (** protocol frame cap for {!handle_connection} *)
-  parallel_parts : int;
-      (** intra-query partition count (≥ 1): when > 1 the server owns one
-          shared {!Rox_core.Pool} and lends it to every request session,
-          so partitioned edge kernels and racing probes fan out without a
-          per-request pool spawn. [1] (the default) serves strictly
-          sequential sessions with no pool. *)
   recorder : bool;
       (** the flight recorder (default on): every submitted request —
           executed, coalesced, or rejected — leaves one bounded record;
@@ -66,12 +60,12 @@ type config = {
 val config :
   ?cache:Rox_cache.Store.t -> ?workers:int -> ?queue_capacity:int ->
   ?max_connections:int -> ?session:Rox_core.Session.config ->
-  ?telemetry:bool -> ?max_frame:int -> ?parallel_parts:int ->
+  ?telemetry:bool -> ?max_frame:int ->
   ?recorder:bool -> ?slow_ms:int -> ?slow_log:string ->
   Rox_storage.Engine.t -> config
 (** Defaults: no cache, 2 workers, capacity 64, 256 connections, default
     session config, telemetry on, {!Protocol.default_max_frame},
-    [parallel_parts = 1], recorder on, no slow log. *)
+    recorder on, no slow log. *)
 
 type t
 

@@ -80,8 +80,6 @@ module Builder = struct
     b.stack <- [ 0 ];
     b
 
-  let depth b = List.length b.stack - 1
-
   let add_row b ~kind ~name ~value =
     let pre = Buffer.length b.b_kinds in
     let parent = match b.stack with p :: _ -> p | [] -> invalid_arg "Doc.Builder: closed" in
@@ -89,7 +87,7 @@ module Builder = struct
     Int_vec.push b.b_names name;
     Int_vec.push b.b_values_col value;
     Int_vec.push b.b_sizes 0;
-    Int_vec.push b.b_levels (depth b + 1);
+    Int_vec.push b.b_levels (Int_vec.get b.b_levels parent + 1);
     Int_vec.push b.b_parents parent;
     pre
 

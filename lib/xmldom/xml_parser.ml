@@ -25,6 +25,7 @@ let advance st =
   end
 
 let expect st c =
+  if eof st then error st (Printf.sprintf "expected %C, found end of input" c);
   if peek st <> c then error st (Printf.sprintf "expected %C, found %C" c (peek st));
   advance st
 

@@ -110,6 +110,21 @@ let test_shared_pools () =
   (* Text value ids are shared across documents. *)
   check_int "shared value id" (Doc.value_id d1 2) (Doc.value_id d2 2)
 
+(* A chain nested [depth] deep: each element's level comes from its
+   parent's row, so shredding stays linear in the node count. *)
+let test_deep_chain () =
+  let depth = 100_000 in
+  let node = ref (Tree.element "a" []) in
+  for _ = 2 to depth do
+    node := Tree.element "a" [ !node ]
+  done;
+  let qnames, values = pools () in
+  let doc = Doc.of_tree ~qnames ~values (Tree.document !node) in
+  check_int "node count" (depth + 1) (Doc.node_count doc);
+  check_int "deepest level" depth (Doc.level doc depth);
+  check_int "deepest parent" (depth - 1) (Doc.parent doc depth);
+  check_int "root size" depth (Doc.size doc 0)
+
 (* ---------- Navigation ---------- *)
 
 let test_children_attributes () =
@@ -160,6 +175,7 @@ let suite =
     Alcotest.test_case "builder errors" `Quick test_builder_errors;
     Alcotest.test_case "builder empty" `Quick test_builder_empty;
     Alcotest.test_case "shared pools" `Quick test_shared_pools;
+    Alcotest.test_case "100k-deep chain" `Quick test_deep_chain;
     Alcotest.test_case "children and attributes" `Quick test_children_attributes;
     Alcotest.test_case "siblings" `Quick test_siblings;
     Alcotest.test_case "in_subtree" `Quick test_in_subtree;

@@ -88,7 +88,12 @@ let test_parse_errors () =
   expect_error "<a></a><b></b>";
   expect_error "<a attr=oops/>";
   expect_error "<a>&unknown;</a>";
-  expect_error ""
+  expect_error "";
+  (* A truncated document names the end of input, not a NUL byte. *)
+  match parse "<a></a" with
+  | exception Xml_parser.Parse_error { message; _ } ->
+    check_string "truncated end tag" "expected '>', found end of input" message
+  | _ -> Alcotest.fail "expected parse error for a truncated end tag"
 
 let test_error_location () =
   match parse "<a>\n<b></c>\n</a>" with
