@@ -1,4 +1,4 @@
-.PHONY: all build test analyze lint racecheck sanitize bench-smoke profile-smoke serve-smoke recorder-smoke check clean
+.PHONY: all build test analyze lint racecheck sanitize trace-smoke bench-smoke profile-smoke serve-smoke recorder-smoke check clean
 
 all: build
 
@@ -44,6 +44,24 @@ sanitize:
 	ROX_SANITIZE=1 dune exec bin/rox_cli.exe -- analyze
 	ROX_SANITIZE=1 dune exec test/test_main.exe -- test fuzz
 
+# The query runner's --trace under every optimizer: a tiny document and
+# query written to a temp dir, run once per --optimizer value; each run
+# must print at least one "executed edge" line on stderr.
+trace-smoke:
+	dune build bin/rox_cli.exe
+	@dir=$$(mktemp -d); status=0; \
+	printf '<lib><book><author>A</author><author>B</author></book></lib>' \
+	  > $$dir/lib.xml; \
+	printf 'for $$b in doc("lib.xml")//book, $$a in $$b//author return $$a' \
+	  > $$dir/q.xq; \
+	for opt in rox greedy static midquery; do \
+	  n=$$(dune exec bin/rox_cli.exe -- --doc $$dir/lib.xml --count --trace \
+	    --optimizer $$opt $$dir/q.xq 2>&1 >/dev/null | grep -c 'executed edge'); \
+	  echo "trace-smoke: --optimizer $$opt printed $$n executed edge line(s)"; \
+	  if [ "$$n" -lt 1 ]; then status=1; fi; \
+	done; \
+	rm -rf $$dir; exit $$status
+
 # Quick benchmarks: the cache experiment (BENCH_cache.json), the
 # columnar relation kernels vs the row-major reference
 # (BENCH_relation.json, warns under 2x at 10^5 rows), concurrent
@@ -83,7 +101,7 @@ profile-smoke:
 	  --trace-out rox_trace.json --metrics-out rox_metrics.prom
 	dune exec bin/rox_cli.exe -- trace-validate rox_trace.json
 
-check: build test analyze lint racecheck sanitize profile-smoke serve-smoke recorder-smoke
+check: build test analyze lint racecheck sanitize trace-smoke profile-smoke serve-smoke recorder-smoke
 
 clean:
 	dune clean

@@ -186,28 +186,21 @@ let run docs query_file show_graph show_trace optimizer tau seed deadline_ms
        | None -> ());
       Rox_telemetry.Recorder.close rc
   in
-  let answer, counter, plan_session =
+  (* Each optimizer returns its plan (the flight record's) and the edges it
+     actually executed, in order (what --trace prints). *)
+  let answer, counter, (plan, executed, session) =
     try
       match optimizer with
       | Opt_rox | Opt_greedy ->
-        let trace = Rox_joingraph.Trace.create ~enabled:show_trace () in
         let session =
           Rox_core.Session.create
             ~config:(session_config (optimizer = Opt_rox))
-            ~trace ?cache ~telemetry:sink ()
+            ?cache ~telemetry:sink ()
         in
         cur_session := Some session;
         let answer, result = Rox_core.Optimizer.answer session compiled in
-        if show_trace then begin
-          List.iter
-            (fun id ->
-              let e = Rox_joingraph.Graph.edge compiled.Rox_xquery.Compile.graph id in
-              Printf.eprintf "executed edge %d: %s\n" id
-                (Rox_joingraph.Pretty.edge_line compiled.Rox_xquery.Compile.graph e))
-            (Rox_joingraph.Trace.execution_order trace)
-        end;
-        ( answer, result.Rox_core.Optimizer.counter,
-          (result.Rox_core.Optimizer.edge_order, session) )
+        let order = result.Rox_core.Optimizer.edge_order in
+        (answer, result.Rox_core.Optimizer.counter, (order, order, session))
       | Opt_static ->
         let order =
           Rox_classical.Classical_opt.static_order engine compiled.Rox_xquery.Compile.graph
@@ -218,7 +211,9 @@ let run docs query_file show_graph show_trace optimizer tau seed deadline_ms
         cur_session := Some session;
         let answer, run = Rox_classical.Executor.answer session compiled order in
         ( answer, run.Rox_classical.Executor.counter,
-          (List.map (fun e -> e.Rox_joingraph.Edge.id) order, session) )
+          ( List.map (fun e -> e.Rox_joingraph.Edge.id) order,
+            List.map fst run.Rox_classical.Executor.edge_rows,
+            session ) )
       | Opt_midquery ->
         let session =
           Rox_core.Session.create ~config:(session_config false) ~telemetry:sink ()
@@ -226,7 +221,8 @@ let run docs query_file show_graph show_trace optimizer tau seed deadline_ms
         cur_session := Some session;
         let answer, run = Rox_classical.Midquery.answer session compiled in
         Printf.eprintf "mid-query re-optimizations: %d\n" run.Rox_classical.Midquery.replans;
-        (answer, run.Rox_classical.Midquery.counter, ([], session))
+        let order = run.Rox_classical.Midquery.edge_order in
+        (answer, run.Rox_classical.Midquery.counter, (order, order, session))
     with Rox_algebra.Cost.Budget_exceeded { reason; _ } as exn ->
       (match Rox_algebra.Cost.budget_message exn with
        | Some m -> Printf.eprintf "aborted: %s\n" m
@@ -245,7 +241,13 @@ let run docs query_file show_graph show_trace optimizer tau seed deadline_ms
       exit 2
   in
   let dt = Unix.gettimeofday () -. t0 in
-  let plan, session = plan_session in
+  if show_trace then
+    List.iter
+      (fun id ->
+        let graph = compiled.Rox_xquery.Compile.graph in
+        Printf.eprintf "executed edge %d: %s\n" id
+          (Rox_joingraph.Pretty.edge_line graph (Rox_joingraph.Graph.edge graph id)))
+      executed;
   flight session ~plan ~status:"ok";
   Printf.eprintf "answer: %d nodes; work: sampling=%d execution=%d; %.3fs\n"
     (Array.length answer)
@@ -283,8 +285,8 @@ let run docs query_file show_graph show_trace optimizer tau seed deadline_ms
 module A = Rox_analysis
 
 (* One analysis case: compile, check the graph, run ROX with the sanitizer
-   armed and the trace enabled, then verify the trace and the executed
-   plan. *)
+   armed and the telemetry sink enabled, then verify its events, its spans
+   and the executed plan. *)
 let analyze_case ?(quiet = false) ~subject engine query =
   match Rox_xquery.Compile.compile_string engine query with
   | exception Rox_xquery.Compile.Rejected d -> A.Report.make ~subject [ d ]
@@ -297,16 +299,15 @@ let analyze_case ?(quiet = false) ~subject engine query =
   | compiled ->
     let graph = compiled.Rox_xquery.Compile.graph in
     let diags = ref (A.Graph_check.check graph) in
-    let trace = Rox_joingraph.Trace.create () in
-    (* Telemetry rides along so the RX4xx span checks run against the same
-       trace: every Edge_executed event must have its execute_edge span. *)
+    (* One enabled sink records the run's events (replayed by the RX1xx
+       trace checks) and its spans (the RX4xx checks). *)
     let sink = Rox_telemetry.Sink.create ~enabled:true () in
     (* The sanitizer is a per-session capability: build an explicit
        sanitize-on session instead of flipping any global flag. *)
     let config =
       { (Rox_core.Session.default_config ()) with Rox_core.Session.sanitize = true }
     in
-    let session = Rox_core.Session.create ~config ~trace ~telemetry:sink () in
+    let session = Rox_core.Session.create ~config ~telemetry:sink () in
     if not quiet then
       Printf.printf "%s: %s\n" subject (Rox_core.Session.describe session);
     (match
@@ -317,9 +318,9 @@ let analyze_case ?(quiet = false) ~subject engine query =
      | Ok result ->
        diags :=
          !diags
-         @ A.Trace_check.check graph trace
+         @ A.Trace_check.check graph sink
          @ A.Plan_check.check graph result.Rox_core.Optimizer.edge_order
-         @ A.Telemetry_check.check ~trace sink);
+         @ A.Telemetry_check.check sink);
     A.Report.make ~subject !diags
 
 let quickstart_document =

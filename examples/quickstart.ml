@@ -35,9 +35,9 @@ let () =
   print_string (Rox_joingraph.Pretty.to_string compiled.Rox_xquery.Compile.graph);
 
   (* 3. Run ROX: optimization happens during execution, driven by sampling. *)
-  let trace = Rox_joingraph.Trace.create () in
-  (* One explicit session owns the run: seed, trace, counter, budgets. *)
-  let session = Rox_core.Session.create ~trace () in
+  let sink = Rox_telemetry.Sink.create ~enabled:true () in
+  (* One explicit session owns the run: seed, event sink, counter, budgets. *)
+  let session = Rox_core.Session.create ~telemetry:sink () in
   let answer, result = Rox_core.Optimizer.answer session compiled in
 
   (* 4. The answer is a sequence of nodes of the queried document. *)
@@ -61,4 +61,6 @@ let () =
     (Rox_algebra.Cost.read c Rox_algebra.Cost.Execution);
   Printf.printf "edges executed in order: %s\n"
     (String.concat " -> "
-       (List.map string_of_int result.Rox_core.Optimizer.edge_order))
+       (List.map string_of_int result.Rox_core.Optimizer.edge_order));
+  Printf.printf "chain-sampling rounds recorded: %d\n"
+    (List.length (Rox_telemetry.Sink.chain_rounds sink))

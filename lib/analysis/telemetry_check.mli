@@ -1,21 +1,16 @@
 (** Telemetry span verifier (RX4xx).
 
     A {!Rox_telemetry.Sink.t} records wall-clock spans next to the
-    deterministic optimizer trace; this pass checks that the two stories
-    agree:
+    deterministic optimizer events; this pass checks the spans' timing
+    discipline:
 
     - [RX401] spans are well-nested per sink — as strictly LIFO intervals
       they must nest or be disjoint, never partially overlap;
     - [RX402] no span has a negative duration (a broken monotonic clock
-      or a hand-built span);
-    - [RX403] every [Edge_executed] trace event is covered by an
-      ["execute_edge"] span whose [("edge", id)] attribute matches —
-      skipped when either the trace or the span buffer was truncated;
-    - [RX404] (warning) the span buffer hit its cap and dropped spans.
+      or a hand-built span).
 
-    A disabled sink vacuously passes: it records nothing to verify. *)
+    A truncated buffer is reported once, by {!Trace_check} (RX115, at the
+    events view's [Truncated] marker). A disabled sink vacuously passes:
+    it records nothing to verify. *)
 
-val check :
-  ?trace:Rox_joingraph.Trace.t ->
-  Rox_telemetry.Sink.t ->
-  Diagnostic.t list
+val check : Rox_telemetry.Sink.t -> Diagnostic.t list

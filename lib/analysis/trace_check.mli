@@ -1,14 +1,16 @@
-(** Replay verification of an optimizer event trace (Algorithm 2).
+(** Replay verification of an optimizer event stream (Algorithm 2).
 
-    Replays a [Rox_joingraph.Trace.t] against its Join Graph and verifies
-    the run-time discipline the paper prescribes: executed edges exist and
-    execute once (RX101/RX102) in contiguous order (RX103) after being
-    weighted or chain-chosen (RX104); chain rounds are consecutive with a
-    monotonically growing cutoff (RX105) and well-formed statistics
-    (RX113); chosen segments form connected paths anchored at the chain
-    source (RX106, RX110); trivial edges never execute (RX107); per-edge
-    cardinalities respect the relational bounds of the component operation
-    performed (RX108); and every non-trivial edge is eventually executed or
-    transitively implied by executed equi-joins (RX109, warning). *)
+    Replays a session sink's events view ({!Rox_telemetry.Sink.events})
+    against its Join Graph and verifies the run-time discipline the paper
+    prescribes: executed edges exist and execute once (RX101/RX102) in
+    contiguous order (RX103) after being weighted or chain-chosen
+    (RX104); chain rounds are consecutive with a monotonically growing
+    cutoff (RX105) and well-formed statistics (RX113); chosen segments
+    form connected paths anchored at the chain source (RX106, RX110);
+    trivial edges never execute (RX107); per-edge cardinalities respect
+    the relational bounds of the component operation performed (RX108);
+    and every non-trivial edge is eventually executed or transitively
+    implied by executed equi-joins (RX109, warning). A truncated stream
+    is reported once, as RX115 (warning) at its [Truncated] marker. *)
 
-val check : Rox_joingraph.Graph.t -> Rox_joingraph.Trace.t -> Diagnostic.t list
+val check : Rox_joingraph.Graph.t -> Rox_telemetry.Sink.t -> Diagnostic.t list

@@ -21,13 +21,16 @@ type seg = {
 
 let max_paths = 32
 
-let seg_to_trace graph s =
+(* A segment as its Chain_round event reports it; only an enabled sink
+   evaluates the chain_round span's event, so untraced runs never build
+   these. *)
+let seg_to_path graph s =
   let via =
     match s.s_edges with
     | [] -> "-"
     | e :: _ -> Vertex.label (Graph.vertex graph e.Edge.v1) ^ "~" ^ Vertex.label (Graph.vertex graph e.Edge.v2)
   in
-  { Trace.label = s.s_label; via; cost = s.s_cost; sf = s.s_sf }
+  { Sink.label = s.s_label; via; cost = s.s_cost; sf = s.s_sf }
 
 (* Line 26: executing pi first provably helps: cost(pi) + sf(pi)*cost(pj) <= cost(pj). *)
 let dominates_all paths pi =
@@ -83,8 +86,9 @@ let run ?grow_cutoff ?(max_rounds = 12) state =
             (fun acc v -> if cardinality v < cardinality acc then v else acc)
             (List.hd candidates) (List.tl candidates)
         in
-        Trace.emit (State.trace state)
-          (Trace.Chain_started { source; min_edge = e.Edge.id });
+        let tel = Session.telemetry session in
+        if Sink.enabled tel then
+          Sink.emit tel (Sink.Chain_started { source; min_edge = e.Edge.id });
         let tau = State.tau state in
         let source_card = cardinality source in
         let initial =
@@ -107,13 +111,16 @@ let run ?grow_cutoff ?(max_rounds = 12) state =
         let paths = ref [ initial ] in
         let finished = ref None in
         let round = ref 0 in
-        let tel = Session.telemetry session in
         while !finished = None && !round < max_rounds do
-          Sink.with_span tel "chain_round"
+          Sink.with_event_span tel "chain_round"
             ~attrs:(fun () -> [ ("round", string_of_int !round) ])
             ~record:(fun m dur ->
               Tm.observe m.Tm.chain_round_ns dur;
               Tm.incr m.Tm.chain_rounds)
+            ~event:(fun () ->
+              Sink.Chain_round
+                { round = !round; cutoff = !cutoff;
+                  paths = List.map (seg_to_path graph) !paths })
             (fun () ->
           Session.check_deadline session;
           incr round;
@@ -122,7 +129,7 @@ let run ?grow_cutoff ?(max_rounds = 12) state =
           (* [cutoff] is fixed for the whole round (it only grows at
              round start). Each frontier edge is probed in path order, then
              edge order, so segment labels, costs, estimate-cache lookups
-             and the trace follow one deterministic order. *)
+             and the event stream follow one deterministic order. *)
           let jobs =
             List.map
               (fun p ->
@@ -177,9 +184,6 @@ let run ?grow_cutoff ?(max_rounds = 12) state =
             else next
           in
           paths := next;
-          Trace.emit (State.trace state)
-            (Trace.Chain_round
-               { round = !round; cutoff = !cutoff; paths = List.map (seg_to_trace graph) next });
           let live = List.filter (fun p -> p.s_edges <> []) !paths in
           (match List.find_opt (dominates_all live) live with
            | Some winner -> finished := Some (winner, `Stopping_condition)
@@ -197,8 +201,9 @@ let run ?grow_cutoff ?(max_rounds = 12) state =
              | Some w -> (w, `Exhausted)
              | None -> ({ initial with s_edges = [ e ] }, `Single_edge))
         in
-        Trace.emit (State.trace state)
-          (Trace.Chain_chosen
-             { edges = List.map (fun e -> e.Edge.id) winner.s_edges; trigger });
+        if Sink.enabled tel then
+          Sink.emit tel
+            (Sink.Chain_chosen
+               { edges = List.map (fun e -> e.Edge.id) winner.s_edges; trigger });
         Some { edges = winner.s_edges; trigger }
     end

@@ -22,7 +22,7 @@ let phase1 state =
       | None -> ())
     (Runtime.unexecuted_edges (State.runtime state))
 
-let execute_one state ~order ~rows e =
+let execute_one state ~rows e =
   let session = State.session state in
   Session.check_deadline session;
   let cfg = Session.config session in
@@ -40,16 +40,7 @@ let execute_one state ~order ~rows e =
     Runtime.execute_edge ?step_direction ?equi_algo
       ~meter:(State.execution_meter state) (State.runtime state) e
   in
-  incr order;
   rows := (e.Edge.id, info.Runtime.rel_rows) :: !rows;
-  if Session.cache session <> None then
-    Trace.emit (State.trace state)
-      (Trace.Cache_lookup
-         { edge = e.Edge.id; store = `Relation; hit = info.Runtime.cache_hit });
-  Trace.emit (State.trace state)
-    (Trace.Edge_executed
-       { edge = e.Edge.id; order = !order; pairs = info.Runtime.pair_count;
-         rel_rows = info.Runtime.rel_rows });
   (* Refresh samples/cards of every vertex whose table shrank, then
      re-sample the weights of the un-executed edges incident to the executed
      edge's endpoints (lines 14-19; Fig 3.2: "the weights of other edges are
@@ -60,7 +51,7 @@ let execute_one state ~order ~rows e =
 (* The chosen path segment "is treated as a separate Join Graph, optimized,
    and executed in the most optimal order found" (Section 3.2): execute its
    edges greedily by current weight, which refreshes after each step. *)
-let execute_segment state ~order ~rows edges =
+let execute_segment state ~rows edges =
   let remaining = ref edges in
   while !remaining <> [] do
     let weight_of e =
@@ -79,7 +70,7 @@ let execute_segment state ~order ~rows edges =
     | Some e ->
       remaining := List.filter (fun e' -> e'.Edge.id <> e.Edge.id) !remaining;
       if not (Runtime.executed (State.runtime state) e) then
-        execute_one state ~order ~rows e
+        execute_one state ~rows e
   done
 
 let run_graph session engine graph =
@@ -94,7 +85,6 @@ let run_graph session engine graph =
       let state = State.create session engine graph in
       let cfg = Session.config session in
       phase1 state;
-      let order = ref 0 in
       let rows = ref [] in
       let continue = ref true in
       while !continue do
@@ -103,12 +93,12 @@ let run_graph session engine graph =
         else if cfg.Session.use_chain then begin
           match Chain.run state with
           | None -> continue := false
-          | Some { Chain.edges; _ } -> execute_segment state ~order ~rows edges
+          | Some { Chain.edges; _ } -> execute_segment state ~rows edges
         end
         else begin
           match State.min_weight_edge state with
           | None -> continue := false
-          | Some e -> execute_one state ~order ~rows e
+          | Some e -> execute_one state ~rows e
         end
       done;
       let relation =
@@ -143,6 +133,6 @@ let answer session (compiled : Rox_xquery.Compile.compiled) =
   in
   (nodes, result)
 
-let run_default ?trace compiled = run (Session.create ?trace ()) compiled
+let run_default compiled = run (Session.create ()) compiled
 
-let answer_default ?trace compiled = answer (Session.create ?trace ()) compiled
+let answer_default compiled = answer (Session.create ()) compiled

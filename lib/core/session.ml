@@ -47,7 +47,6 @@ let default_config () =
 type t = {
   config : config;
   rng : Xoshiro.t;
-  trace : Trace.t;
   counter : Cost.counter;
   cache : Rox_cache.Store.t option;
   telemetry : Rox_telemetry.Sink.t;
@@ -62,11 +61,8 @@ type t = {
          aborts; set when a run is armed, cleared when it unwinds. *)
 }
 
-let create ?config ?trace ?cache ?telemetry () =
+let create ?config ?cache ?telemetry () =
   let config = match config with Some c -> c | None -> default_config () in
-  let trace =
-    match trace with Some t -> t | None -> Trace.create ~enabled:false ()
-  in
   let telemetry =
     match telemetry with Some s -> s | None -> Rox_telemetry.Sink.null ()
   in
@@ -76,7 +72,6 @@ let create ?config ?trace ?cache ?telemetry () =
   {
     config;
     rng = Xoshiro.create config.seed;
-    trace;
     counter = Cost.new_counter ~sampling_budget ();
     cache;
     telemetry;
@@ -94,7 +89,6 @@ let sanitize t = t.config.sanitize
 let budgets t = t.config.budgets
 let client_id t = t.config.client_id
 let rng t = t.rng
-let trace t = t.trace
 let counter t = t.counter
 let cache t = t.cache
 let telemetry t = t.telemetry
@@ -150,15 +144,12 @@ let runtime_config t =
 
 (* The one-shot CLI's flight-recorder hook: rox run / rox profile build a
    record from the finished session exactly the way the server's
-   record_request does — same fingerprint rule, same spend/cache-counter
-   reads — so a slow CLI query and a slow served query produce
-   reconcilable slow-log lines. *)
+   record_request does — same fingerprint rule, same spend reads, the same
+   Recorder.observe_sink — so a slow CLI query and a slow served query
+   produce reconcilable slow-log lines. *)
 let flight_record t recorder ~query ~plan ~latency_ns ~status =
   let module R = Rox_telemetry.Recorder in
-  let module Tm = Rox_telemetry.Metrics in
-  let m = Rox_telemetry.Sink.metrics t.telemetry in
-  let c (cnt : Tm.counter) = cnt.Tm.c_value in
-  let record =
+  R.observe_sink recorder
     {
       R.trace_id = R.next_trace_id recorder;
       fingerprint = String.sub (Digest.to_hex (Digest.string query)) 0 12;
@@ -169,29 +160,20 @@ let flight_record t recorder ~query ~plan ~latency_ns ~status =
       queue_ns = 0;
       sampling_units = Cost.read t.counter Cost.Sampling;
       execution_units = Cost.read t.counter Cost.Execution;
-      cache_hits = c m.Tm.relation_cache_hits + c m.Tm.estimate_cache_hits;
-      cache_misses = c m.Tm.relation_cache_misses + c m.Tm.estimate_cache_misses;
+      cache_hits = 0;
+      cache_misses = 0;
       outcome = R.Executed;
       status;
-      (* Raw close-order spans are fine for per-edge timings; the
-         chronological sort is paid only when the tree is retained. *)
-      edge_ns = R.edge_timings_of_spans (Rox_telemetry.Sink.spans t.telemetry);
+      edge_ns = [];
     }
-  in
-  (match R.observe recorder record with
-   | Some reason -> (
-     match Rox_telemetry.Sink.spans_chronological t.telemetry with
-     | [] -> ()
-     | spans -> R.retain recorder record reason spans)
-   | None -> ());
-  record
+    t.telemetry
 
 let describe t =
   let b = t.config.budgets in
   Printf.sprintf
     "session client=%s seed=%d tau=%d chain=%b resample=%b grow_cutoff=%b race=%b \
      table_fraction=%s sanitize=%b max_rows=%d deadline_ms=%s \
-     max_sampled_rows=%s cache=%b trace=%b telemetry=%b"
+     max_sampled_rows=%s cache=%b telemetry=%b"
     t.config.client_id t.config.seed t.config.tau t.config.use_chain t.config.resample
     t.config.grow_cutoff t.config.race_operators
     (match t.config.table_fraction with
@@ -200,5 +182,5 @@ let describe t =
     t.config.sanitize b.max_rows
     (match b.deadline_ms with None -> "-" | Some ms -> string_of_int ms)
     (match b.max_sampled_rows with None -> "-" | Some r -> string_of_int r)
-    (t.cache <> None) (Trace.enabled t.trace)
+    (t.cache <> None)
     (Rox_telemetry.Sink.enabled t.telemetry)

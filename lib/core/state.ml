@@ -29,7 +29,6 @@ let engine t = Runtime.engine t.runtime
 let tau t = Session.tau t.session
 let rng t = Session.rng t.session
 let counter t = Session.counter t.session
-let trace t = Session.trace t.session
 let sample t v = t.samples.(v)
 let card t v = t.cards.(v)
 let cache t = Session.cache t.session
@@ -55,13 +54,6 @@ let est_key t (e : Edge.t) ~outer ~sample ~inner_table ~limit store =
       Rox_cache.Fingerprint.option_column inner_table;
       string_of_int limit;
     ]
-
-let est_note_lookup t hit =
-  let tel = Session.telemetry t.session in
-  if Sink.enabled tel then begin
-    let m = Sink.metrics tel in
-    Tm.incr (if hit then m.Tm.estimate_cache_hits else m.Tm.estimate_cache_misses)
-  end
 
 (* A hit under the sanitizer is cross-checked bit-identical against a
    fresh (uncharged) execution of the same sampled operator. *)
@@ -114,15 +106,11 @@ let sampled_cutoff t (e : Edge.t) ~outer ~sample ~inner_table ~limit =
     let estimates = Rox_cache.Store.estimates store in
     (match Rox_cache.Estimate_cache.find estimates key with
      | Some cut ->
-       est_note_lookup t true;
-       Trace.emit (trace t)
-         (Trace.Cache_lookup { edge = e.Edge.id; store = `Estimate; hit = true });
+       Sink.note_cache_lookup tel ~edge:e.Edge.id ~store:`Estimate ~hit:true;
        est_check_hit t e ~run cut;
        cut
      | None ->
-       est_note_lookup t false;
-       Trace.emit (trace t)
-         (Trace.Cache_lookup { edge = e.Edge.id; store = `Estimate; hit = false });
+       Sink.note_cache_lookup tel ~edge:e.Edge.id ~store:`Estimate ~hit:false;
        let cut = run_charged () in
        Rox_cache.Estimate_cache.add estimates key cut;
        cut)
@@ -150,7 +138,9 @@ let init_vertex_from_index t v =
   if Exec.can_index_init vertex then begin
     let domain = Exec.vertex_domain (engine t) vertex in
     set_sample_from t v domain;
-    Trace.emit (trace t) (Trace.Vertex_initialized { vertex = v; card = Column.length domain });
+    let tel = Session.telemetry t.session in
+    if Sink.enabled tel then
+      Sink.emit tel (Sink.Vertex_initialized { vertex = v; card = Column.length domain });
     true
   end
   else false
@@ -159,7 +149,8 @@ let weight t (e : Edge.t) = t.weights.(e.Edge.id)
 
 let set_weight t (e : Edge.t) w =
   t.weights.(e.Edge.id) <- Some w;
-  Trace.emit (trace t) (Trace.Edge_weighted { edge = e.Edge.id; weight = w })
+  let tel = Session.telemetry t.session in
+  if Sink.enabled tel then Sink.emit tel (Sink.Edge_weighted { edge = e.Edge.id; weight = w })
 
 let min_weight_edge t =
   let best = ref None in

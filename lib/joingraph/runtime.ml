@@ -22,8 +22,9 @@ type config = {
   (* Applied when a vertex table is first materialized from its index
      domain — the hook behind approximate (sample-driven) execution. *)
   table_sampler : (int -> Column.t -> Column.t) option;
-  (* Per-session telemetry sink: spans around edge executions, cache
-     hit/miss counters. A disabled (null) sink costs one boolean test. *)
+  (* Per-session telemetry sink: spans around edge executions carrying
+     their Edge_executed events, cache lookups. A disabled (null) sink
+     costs one boolean test. *)
   telemetry : Sink.t;
 }
 
@@ -54,6 +55,8 @@ type t = {
      (the closure edges of Figure 4 are alternatives, not extra work) and
      completes as a no-op. *)
   equi_uf : int array;
+  (* Successful execute_edge calls so far: the Edge_executed ordinal. *)
+  mutable executions : int;
 }
 
 let engine t = t.engine
@@ -83,6 +86,7 @@ let create ?config engine graph =
       components = Array.make 8 None;
       ncomponents = 0;
       equi_uf = Array.init (Graph.vertex_count graph) (fun i -> i);
+      executions = 0;
     }
   in
   Array.iter
@@ -146,7 +150,6 @@ type exec_info = {
   pair_count : int;
   rel_rows : int;
   changed : int list;
-  cache_hit : bool;
 }
 
 let rec uf_find t v = if t.equi_uf.(v) = v then v else (t.equi_uf.(v) <- uf_find t t.equi_uf.(v); t.equi_uf.(v))
@@ -236,13 +239,10 @@ let edge_fingerprint t (e : Edge.t) store plan =
    physical variant. *)
 let cached_pairs ?meter t (e : Edge.t) plan =
   let note_lookup hit =
-    if Sink.enabled t.telemetry then begin
-      let m = Sink.metrics t.telemetry in
-      Tm.incr (if hit then m.Tm.relation_cache_hits else m.Tm.relation_cache_misses)
-    end
+    Sink.note_cache_lookup t.telemetry ~edge:e.Edge.id ~store:`Relation ~hit
   in
   match t.cache with
-  | None -> (plan.run meter, false)
+  | None -> plan.run meter
   | Some store ->
     let key = edge_fingerprint t e store plan in
     let relations = Rox_cache.Store.relations store in
@@ -261,13 +261,13 @@ let cached_pairs ?meter t (e : Edge.t) plan =
          Sanitize.check_identical ~op ~what:"right column"
            (Column.read pairs.Exec.right) (Column.read fresh.Exec.right)
        end;
-       (pairs, true)
+       pairs
      | None ->
        note_lookup false;
        let pairs = plan.run meter in
        Rox_cache.Relation_cache.add relations key
          { Rox_cache.Relation_cache.left = pairs.Exec.left; right = pairs.Exec.right };
-       (pairs, false))
+       pairs)
 
 let execute_edge_body ?meter ?equi_algo ?step_direction t (e : Edge.t) =
   let v1 = e.Edge.v1 and v2 = e.Edge.v2 in
@@ -339,7 +339,7 @@ let execute_edge_body ?meter ?equi_algo ?step_direction t (e : Edge.t) =
               t.engine t.graph e ~t1 ~t2);
       }
   in
-  let pairs, cache_hit = cached_pairs ?meter t e plan in
+  let pairs = cached_pairs ?meter t e plan in
   let c1 = t.comp_of.(v1) and c2 = t.comp_of.(v2) in
   let get cid = match t.components.(cid) with Some r -> r | None -> assert false in
   let rel =
@@ -388,17 +388,22 @@ let execute_edge_body ?meter ?equi_algo ?step_direction t (e : Edge.t) =
             (Column.read tab))
       (Relation.vertices rel)
   end;
-  { pair_count = Exec.pair_count pairs; rel_rows = Relation.rows rel; changed; cache_hit }
+  { pair_count = Exec.pair_count pairs; rel_rows = Relation.rows rel; changed }
 
 let execute_edge ?meter ?equi_algo ?step_direction t (e : Edge.t) =
   if executed t e then invalid_arg "Runtime.execute_edge: edge already executed";
-  Sink.with_span t.telemetry "execute_edge"
+  Sink.with_event_span t.telemetry "execute_edge"
     ~attrs:(fun () -> [ ("edge", string_of_int e.Edge.id) ])
     ~record:(fun m dur ->
       Tm.observe m.Tm.edge_execution_ns dur;
       Tm.incr ~by:dur m.Tm.execution_time_ns)
+    ~event:(fun info ->
+      Sink.Edge_executed
+        { edge = e.Edge.id; order = t.executions; pairs = info.pair_count;
+          rel_rows = info.rel_rows })
     (fun () ->
       let info = execute_edge_body ?meter ?equi_algo ?step_direction t e in
+      t.executions <- t.executions + 1;
       if Sink.enabled t.telemetry then begin
         let m = Sink.metrics t.telemetry in
         Tm.incr m.Tm.edges_executed;

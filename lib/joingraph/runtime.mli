@@ -41,8 +41,9 @@ type config = {
           from executed relations are never re-sampled. *)
   telemetry : Rox_telemetry.Sink.t;
       (** the session's telemetry sink: {!execute_edge} runs under an
-          ["execute_edge"] span carrying an [("edge", id)] attribute and
-          feeds the edge-latency histogram and cache hit/miss counters.
+          ["execute_edge"] span carrying an [("edge", id)] attribute and,
+          once the edge completes, its [Edge_executed] event; it feeds the
+          edge-latency histogram and records each relation-cache lookup.
           The null sink (see {!default_config}) costs one boolean test. *)
 }
 
@@ -95,7 +96,6 @@ type exec_info = {
   pair_count : int;      (** operator result pairs *)
   rel_rows : int;        (** rows of the affected component afterwards *)
   changed : int list;    (** vertices whose T(v) shrank (incl. endpoints) *)
-  cache_hit : bool;      (** the physical join was replayed from the cache *)
 }
 
 val execute_edge :
@@ -105,7 +105,9 @@ val execute_edge :
   t ->
   Edge.t ->
   exec_info
-(** Full evaluation of one edge with component maintenance.
+(** Full evaluation of one edge with component maintenance. Each
+    successful call is the runtime's next execution ordinal (from 1),
+    recorded in the [Edge_executed] event its span carries.
     @raise Invalid_argument if the edge was already executed.
     @raise Blowup when the component would exceed [max_rows]. *)
 

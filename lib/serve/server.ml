@@ -284,23 +284,11 @@ let record_request t ~trace_id ~(q : Protocol.query) ~outcome ~resp ~latency_ns
     ~queue_ns ~exec =
   match t.recorder with
   | None -> ()
-  | Some rc ->
-    (* Per-edge timings read the raw close-order span list; the
-       chronological sort is deferred to retention, which only a sampled
-       minority of requests pays for. *)
-    let plan, sampling, execution, hits, misses, edge_ns, sink =
+  | Some rc -> (
+    let plan, sampling_units, execution_units =
       match exec with
-      | None -> ([], 0, 0, 0, 0, [], None)
-      | Some e ->
-        let m = Sink.metrics e.sink in
-        let c (x : Tm.counter) = x.Tm.c_value in
-        ( e.plan,
-          e.sampling,
-          e.execution,
-          c m.Tm.relation_cache_hits + c m.Tm.estimate_cache_hits,
-          c m.Tm.relation_cache_misses + c m.Tm.estimate_cache_misses,
-          Recorder.edge_timings_of_spans (Sink.spans e.sink),
-          Some e.sink )
+      | None -> ([], 0, 0)
+      | Some e -> (e.plan, e.sampling, e.execution)
     in
     let record =
       {
@@ -311,21 +299,18 @@ let record_request t ~trace_id ~(q : Protocol.query) ~outcome ~resp ~latency_ns
         plan_edges = List.length plan;
         latency_ns;
         queue_ns;
-        sampling_units = sampling;
-        execution_units = execution;
-        cache_hits = hits;
-        cache_misses = misses;
+        sampling_units;
+        execution_units;
+        cache_hits = 0;
+        cache_misses = 0;
         outcome;
         status = status_of_resp resp;
-        edge_ns;
+        edge_ns = [];
       }
     in
-    (match (Recorder.observe rc record, sink) with
-     | Some reason, Some s ->
-       (match Sink.spans_chronological s with
-        | [] -> ()
-        | spans -> Recorder.retain rc record reason spans)
-     | _ -> ())
+    match exec with
+    | None -> ignore (Recorder.observe rc record : Recorder.reason option)
+    | Some e -> ignore (Recorder.observe_sink rc record e.sink : Recorder.record))
 
 let complete t entry ~wait_ns resp =
   locked t (fun () ->

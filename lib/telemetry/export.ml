@@ -95,7 +95,7 @@ let chrome_trace_parts ?(process_name = "rox") parts =
         spans;
       if dropped > 0 then
         event
-          [ Printf.sprintf "\"name\": \"telemetry truncated: %d spans dropped\""
+          [ Printf.sprintf "\"name\": \"telemetry truncated: %d records dropped\""
               dropped;
             "\"ph\": \"i\""; "\"cat\": \"rox\""; "\"s\": \"t\""; "\"ts\": 0";
             "\"pid\": 0"; Printf.sprintf "\"tid\": %d" tid; "\"args\": {}" ])
@@ -205,7 +205,7 @@ let profile ?work_units (m : Metrics.t) =
     (c m.Metrics.rows_materialized) (c m.Metrics.pairs_emitted)
     (c m.Metrics.edges_executed);
   if c m.Metrics.spans_dropped > 0 then
-    line "spans dropped       %d (raise the sink cap for a complete trace)"
+    line "records dropped     %d (raise the sink cap for a complete trace)"
       (c m.Metrics.spans_dropped);
   Buffer.contents buf
 

@@ -446,18 +446,28 @@ let plan_digest edge_order =
     in
     String.sub hex 0 12
 
-let edge_timings_of_spans spans =
-  List.filter_map
-    (fun (s : Sink.span) ->
-      if s.Sink.name = "execute_edge" then
-        match List.assoc_opt "edge" s.Sink.attrs with
-        | Some e -> (
-          match int_of_string_opt e with
-          | Some id -> Some (id, Int64.to_int s.Sink.dur_ns)
-          | None -> None)
-        | None -> None
-      else None)
-    spans
+(* The one place a finished run's sink becomes a flight record, for the
+   server and the one-shot CLI alike. Per-edge timings come from the
+   close-order buffer; the chronological sort is paid only when the span
+   tree is retained. *)
+let observe_sink t (r : record) sink =
+  let m = Sink.metrics sink in
+  let c (x : Metrics.counter) = x.Metrics.c_value in
+  let r =
+    {
+      r with
+      cache_hits = c m.Metrics.relation_cache_hits + c m.Metrics.estimate_cache_hits;
+      cache_misses = c m.Metrics.relation_cache_misses + c m.Metrics.estimate_cache_misses;
+      edge_ns = Sink.edge_timings sink;
+    }
+  in
+  (match observe t r with
+   | Some reason -> (
+     match Sink.spans_chronological sink with
+     | [] -> ()
+     | spans -> retain t r reason spans)
+   | None -> ());
+  r
 
 (* ------------------------------------------------------------------ *)
 (* Prometheus series                                                  *)

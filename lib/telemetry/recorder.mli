@@ -130,9 +130,12 @@ val close : t -> unit
 val plan_digest : int list -> string
 (** Stable 12-hex-char digest of a chosen edge order (["-"] for none). *)
 
-val edge_timings_of_spans : Sink.span list -> (int * int) list
-(** Per-edge (id, wall ns) pairs from ["execute_edge"] spans' [("edge",
-    id)] attributes — the slow-log's per-edge breakdown. *)
+val observe_sink : t -> record -> Sink.t -> record
+(** Complete [record] from the finished run's [sink] — the relation +
+    estimate cache hit/miss counter sums and the per-edge timings of its
+    [Edge_executed] entries ({!Sink.edge_timings}) — then {!observe} it
+    and {!retain} the sink's span tree when asked to. Returns the
+    completed record. *)
 
 val prometheus : t -> string
 (** Text-exposition series owned by the recorder: record/drop/retention

@@ -6,7 +6,6 @@
 
 open Helpers
 open Rox_telemetry
-module Trace = Rox_joingraph.Trace
 module A = Rox_analysis
 
 let contains hay needle =
@@ -119,11 +118,10 @@ let test_span_cap () =
   check_int "dropped" 2 (Sink.dropped sink);
   check_int "spans_dropped counter" 2
     (Sink.metrics sink).Metrics.spans_dropped.Metrics.c_value;
-  let ds = A.Telemetry_check.check sink in
-  check_bool "RX404 warning raised" true
-    (List.exists (fun d -> d.A.Diagnostic.code = "RX404") ds);
-  check_bool "truncation is not an error" true
-    (not (List.exists A.Diagnostic.is_error ds));
+  check_bool "events view ends in the marker" true
+    (Sink.events sink = [ Sink.Truncated { dropped = 2 } ]);
+  check_int "kept spans still well-nested" 0
+    (List.length (A.Telemetry_check.check sink));
   Sink.reset sink;
   check_int "reset clears spans" 0 (Sink.span_count sink);
   check_int "reset clears dropped" 0 (Sink.dropped sink)
@@ -197,41 +195,41 @@ let busy_sink () =
   Metrics.set m.Metrics.cache_resident_bytes 4096.0;
   sink
 
-(* One sequential engine means one call tree per sink: a full XMark Q1
-   run with chain sampling and operator racing on (the default config)
-   leaves every span on lane 0, passes the RX4xx checks against its own
-   trace, and exports a Chrome trace the validator accepts. *)
-let test_sequential_q1_single_lane () =
+(* XMark Q1 (Section 3.2) over a small generated document. *)
+let xmark_q1 () =
   let engine = Rox_storage.Engine.create () in
   ignore
     (Rox_workload.Xmark.generate
        ~params:(Rox_workload.Xmark.scaled 0.02)
        engine ~uri:"xmark.xml"
       : Rox_storage.Engine.docref);
-  let compiled =
-    Rox_xquery.Compile.compile_string engine
-      {|let $d := doc("xmark.xml")
+  Rox_xquery.Compile.compile_string engine
+    {|let $d := doc("xmark.xml")
 for $o in $d//open_auction[.//current/text() < 145],
     $p in $d//person[.//province],
     $i in $d//item[./quantity = 1]
 where $o//bidder//personref/@person = $p/@id and
       $o//itemref/@item = $i/@id
 return $o|}
-  in
+
+(* One sequential engine means one call tree per sink: a full XMark Q1
+   run with chain sampling and operator racing on (the default config)
+   leaves every span on lane 0, passes the RX4xx checks, and exports a
+   Chrome trace the validator accepts. *)
+let test_sequential_q1_single_lane () =
+  let compiled = xmark_q1 () in
   let sink = Sink.create ~enabled:true () in
-  let trace = Trace.create () in
   let config = Rox_core.Session.default_config () in
   check_bool "chain sampling on" true config.Rox_core.Session.use_chain;
   check_bool "operator racing on" true config.Rox_core.Session.race_operators;
-  let session = Rox_core.Session.create ~config ~trace ~telemetry:sink () in
+  let session = Rox_core.Session.create ~config ~telemetry:sink () in
   ignore (fst (Rox_core.Optimizer.answer session compiled) : _ array);
   let spans = Sink.spans sink in
   check_bool "race probes recorded" true
     (List.exists (fun s -> s.Sink.name = "race_probe") spans);
   check_bool "every span on lane 0" true
     (List.for_all (fun s -> s.Sink.lane = 0) spans);
-  check_int "RX4xx clean against the trace" 0
-    (List.length (A.Telemetry_check.check ~trace sink));
+  check_int "RX4xx clean" 0 (List.length (A.Telemetry_check.check sink));
   match Rox_util.Minijson.parse (Export.chrome_trace [ (0, sink) ]) with
   | Error e -> Alcotest.failf "Q1 trace does not parse: %s" e
   | Ok j -> (
@@ -298,52 +296,102 @@ let test_budget_message_units () =
       "sampled-rows budget exceeded: spent 120 work units, budget 100 work units" msg);
   check_bool "other exceptions pass" true (budget_message Exit = None)
 
-(* ---------- Trace truncation marker (satellite: bounded Trace.t) ---------- *)
+(* ---------- One cap, one drop count, one truncation marker ---------- *)
 
 let test_trace_truncation () =
-  let tr = Trace.create ~cap:3 () in
-  for i = 1 to 5 do
-    Trace.emit tr (Trace.Edge_weighted { edge = i; weight = 1.0 })
-  done;
-  check_int "dropped" 2 (Trace.dropped tr);
-  let evs = Trace.events tr in
-  check_int "kept + marker" 4 (List.length evs);
-  (match List.rev evs with
-  | Trace.Truncated { dropped } :: _ -> check_int "marker dropped count" 2 dropped
-  | _ -> Alcotest.fail "last event must be the Truncated marker");
-  (* The marker is synthesized, never stored: further emits past the cap
-     only bump the counter. *)
-  Trace.emit tr (Trace.Edge_weighted { edge = 9; weight = 1.0 });
-  check_int "dropped grows" 3 (Trace.dropped tr);
-  check_int "events stable" 4 (List.length (Trace.events tr))
-
-(* ---------- RX403: trace/span cross-check ---------- *)
-
-let test_edge_span_matching () =
-  let tr = Trace.create () in
-  Trace.emit tr (Trace.Edge_executed { edge = 7; order = 0; pairs = 1; rel_rows = 1 });
-  (* Uncovered edge: an enabled sink with no execute_edge span. *)
-  let bare = Sink.create ~enabled:true () in
-  Sink.with_span bare "query" (fun () -> ());
-  let ds = A.Telemetry_check.check ~trace:tr bare in
-  check_bool "RX403 fires for uncovered edge" true
-    (List.exists (fun d -> d.A.Diagnostic.code = "RX403") ds);
-  (* Covered edge: matching span with the ("edge", id) attribute. *)
-  let covered = Sink.create ~enabled:true () in
-  Sink.with_span covered "execute_edge"
-    ~attrs:(fun () -> [ ("edge", "7") ])
+  let open Rox_joingraph in
+  let g = Graph.create () in
+  let a = Graph.add_vertex g ~doc_id:0 (Vertex.Element "a") in
+  let b = Graph.add_vertex g ~doc_id:0 (Vertex.Element "b") in
+  let e = Graph.add_edge g ~v1:a.Vertex.id ~v2:b.Vertex.id (Edge.Step Rox_algebra.Axis.Child) in
+  let weighted = Sink.Edge_weighted { edge = e.Edge.id; weight = 1.0 } in
+  (* Events and spans fill the same buffer: two events and a span reach
+     the cap of 3, then one event and one event-carrying span drop. *)
+  let sink = Sink.create ~cap:3 ~enabled:true () in
+  Sink.emit sink weighted;
+  Sink.emit sink weighted;
+  Sink.with_span sink "s" (fun () -> ());
+  Sink.emit sink weighted;
+  Sink.with_event_span sink "s"
+    ~attrs:(fun () -> [])
+    ~record:(fun _ _ -> ())
+    ~event:(fun () -> weighted)
     (fun () -> ());
-  check_int "covered edge is clean" 0
-    (List.length (A.Telemetry_check.check ~trace:tr covered));
-  (* Truncated trace: the cross-check is skipped, not misfired. *)
-  let small = Trace.create ~cap:1 () in
-  Trace.emit small (Trace.Chain_started { source = 0; min_edge = 1 });
-  Trace.emit small (Trace.Edge_executed { edge = 7; order = 0; pairs = 1; rel_rows = 1 });
-  check_bool "truncated trace skips RX403" true
-    (not
-       (List.exists
-          (fun d -> d.A.Diagnostic.code = "RX403")
-          (A.Telemetry_check.check ~trace:small bare)))
+  check_int "dropped" 2 (Sink.dropped sink);
+  check_int "one drop counter" 2
+    (Sink.metrics sink).Metrics.spans_dropped.Metrics.c_value;
+  check_int "span kept" 1 (Sink.span_count sink);
+  let evs = Sink.events sink in
+  check_int "kept + marker" 3 (List.length evs);
+  (match List.rev evs with
+  | Sink.Truncated { dropped } :: _ -> check_int "marker dropped count" 2 dropped
+  | _ -> Alcotest.fail "last event must be the Truncated marker");
+  (* The marker is synthesized, never stored: further records past the
+     cap only bump the counter. *)
+  Sink.emit sink weighted;
+  check_int "dropped grows" 3 (Sink.dropped sink);
+  check_int "events stable" 3 (List.length (Sink.events sink));
+  (* Both verifiers together report the truncation exactly once. *)
+  let truncation d = d.A.Diagnostic.code = "RX115" in
+  let ds = A.Trace_check.check g sink @ A.Telemetry_check.check sink in
+  check_int "one truncation diagnostic" 1 (List.length (List.filter truncation ds));
+  check_bool "truncation is not an error" true
+    (not (List.exists A.Diagnostic.is_error ds));
+  check_bool "RX404 retired" false
+    (List.exists (fun c -> c.A.Diagnostic.ci_code = "RX404") A.Diagnostic.registry)
+
+(* ---------- Edge executions: one entry, two views ---------- *)
+
+let execute_edge_spans sink =
+  List.filter_map
+    (fun s ->
+      if s.Sink.name = "execute_edge" then List.assoc_opt "edge" s.Sink.attrs else None)
+    (Sink.spans sink)
+
+(* Each Edge_executed is carried by its execute_edge span, so the events
+   view and the spans view pair up one-to-one, in completion order. *)
+let test_edge_views_agree () =
+  let sink = Sink.create ~enabled:true () in
+  let result =
+    Rox_core.Optimizer.run (Rox_core.Session.create ~telemetry:sink ()) (xmark_q1 ())
+  in
+  let order = result.Rox_core.Optimizer.edge_order in
+  check_bool "execution_order = edge_order" true (Sink.execution_order sink = order);
+  Alcotest.(check (list string))
+    "one execute_edge span per Edge_executed, same edge"
+    (List.map string_of_int order) (execute_edge_spans sink);
+  Alcotest.(check (list int))
+    "ordinals count from 1"
+    (List.init (List.length order) (fun i -> i + 1))
+    (List.filter_map
+       (function Sink.Edge_executed { order; _ } -> Some order | _ -> None)
+       (Sink.events sink));
+  Alcotest.(check (list int))
+    "edge timings follow the same entries" order
+    (List.map fst (Sink.edge_timings sink))
+
+(* An edge that aborts on max_rows unwinds through its span: the span
+   stays, with its edge attribute, but carries no Edge_executed. *)
+let test_blowup_span_without_event () =
+  let sink = Sink.create ~enabled:true () in
+  let defaults = Rox_core.Session.default_config () in
+  let config =
+    { defaults with
+      Rox_core.Session.budgets =
+        { defaults.Rox_core.Session.budgets with Rox_core.Session.max_rows = 1 } }
+  in
+  match
+    Rox_core.Optimizer.run (Rox_core.Session.create ~config ~telemetry:sink ()) (xmark_q1 ())
+  with
+  | _ -> Alcotest.fail "max_rows = 1 must abort the run"
+  | exception Rox_joingraph.Runtime.Blowup { edge; _ } ->
+    let spans = execute_edge_spans sink in
+    check_bool "aborted edge keeps its span" true (List.mem (string_of_int edge) spans);
+    check_bool "aborted edge has no Edge_executed" false
+      (List.mem edge (Sink.execution_order sink));
+    check_int "one span more than events" (List.length spans)
+      (List.length (Sink.execution_order sink) + 1);
+    check_int "every span closed" 0 (Sink.depth sink)
 
 (* ---------- add_into and the 2-domain aggregate ---------- *)
 
@@ -415,8 +463,7 @@ where $o//bidder//personref/@person = $p/@id
 return $o|}
   in
   let sink = Sink.create ~enabled:true () in
-  let trace = Trace.create () in
-  let session = Rox_core.Session.create ~trace ~telemetry:sink () in
+  let session = Rox_core.Session.create ~telemetry:sink () in
   let off = Rox_core.Session.create () in
   let a = fst (Rox_core.Optimizer.answer session compiled) in
   let b = fst (Rox_core.Optimizer.answer off compiled) in
@@ -427,7 +474,7 @@ return $o|}
   check_bool "edge spans recorded" true
     (List.exists (fun s -> s.Sink.name = "execute_edge") (Sink.spans sink));
   check_int "verifier clean on a real run" 0
-    (List.length (A.Telemetry_check.check ~trace sink))
+    (List.length (A.Telemetry_check.check sink))
 
 (* ---------- Quantile interpolation (satellite: upper-bound bias fix) --- *)
 
@@ -740,7 +787,8 @@ let suite =
     ("profile summary", `Quick, test_profile_summary);
     ("budget message units", `Quick, test_budget_message_units);
     ("trace truncation marker", `Quick, test_trace_truncation);
-    ("RX403 edge/span matching", `Quick, test_edge_span_matching);
+    ("edge events match execute_edge spans", `Quick, test_edge_views_agree);
+    ("blown-up edge keeps its span, no event", `Quick, test_blowup_span_without_event);
     ("add_into merge", `Quick, test_add_into);
     ("2-domain aggregate sum", `Quick, test_two_domain_aggregate);
     ("real run under enabled sink", `Quick, test_session_run_records);
